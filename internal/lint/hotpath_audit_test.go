@@ -150,6 +150,15 @@ var hotpathCoverage = map[string]string{
 	"internal/nn.matVecBias2ReLU":  streamAlloc,
 	"internal/nn.matVecBiasWide":   nnAlloc,
 	"internal/nn.matVecBiasSparse": nnAlloc,
+	"internal/nn.nonzeros":         nnAlloc,
+	"internal/nn.reluClamp":        streamAlloc,
+
+	// Across-output dispatch (DESIGN §12.7): the streamer's packed
+	// weight copies into the AVX kernels, leftover rows into the
+	// blocked kernels above.
+	"internal/nn.matOf.apply":      streamAlloc,
+	"internal/nn.matOf.apply2ReLU": streamAlloc,
+	"internal/nn.packedF64":        streamAlloc,
 
 	// Incremental inference engine: the per-sample push path and the
 	// per-stride scoring path of nn.Streamer.

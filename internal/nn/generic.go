@@ -7,27 +7,11 @@ import (
 )
 
 // Generic inference-side primitives shared by the compiled streaming
-// head and the lowering path. Training stays float64-only — these
-// helpers exist so the forward/inference arithmetic can run at either
-// scalar width with one definition, and so the float64 instantiation
-// is literally the same expression the layer objects evaluate
-// (bit-identity by construction, not by tolerance).
-
-// lowerOrAlias returns src as a []S: at S=float64 it returns src
-// itself (so in-place parameter updates stay visible to the compiled
-// path, exactly as when the kernels read the layer tensors directly),
-// and at S=float32 it returns a rounded copy — a lowered snapshot of
-// the checkpoint, taken once at construction.
-func lowerOrAlias[S tensor.Scalar](src []float64) []S {
-	if s, ok := any(src).([]S); ok {
-		return s
-	}
-	out := make([]S, len(src))
-	for i, v := range src {
-		out[i] = S(v)
-	}
-	return out
-}
+// head. Training stays float64-only — these helpers exist so the
+// forward/inference arithmetic can run at either scalar width with one
+// definition, and so the float64 instantiation is literally the same
+// expression the layer objects evaluate (bit-identity by construction,
+// not by tolerance).
 
 // reluInto writes max(v, 0) element-wise — ReLU.Forward's exact clamp
 // (v ≤ 0 becomes 0, NaN propagates because the comparison is false).

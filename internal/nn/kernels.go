@@ -107,8 +107,12 @@ func matVecBias[S tensor.Scalar](dst, x, w, b []S, rows, cols int) {
 //fallvet:hotpath
 func matVecBias2[S tensor.Scalar](da, db, xa, xb, w, b []S, rows, cols int) {
 	if !tensor.Is64[S]() {
-		//fallvet:ignore hottrans simd.MatVecBias2F32 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
-		simd.MatVecBias2F32(f32s(da), f32s(db), f32s(xa), f32s(xb), f32s(w), f32s(b), rows, cols)
+		// Two single calls are the f32 pair, bit for bit: the pair
+		// order is the narrow single order per window.
+		//fallvet:ignore hottrans simd.MatVecBiasF32 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
+		simd.MatVecBiasF32(f32s(da), f32s(xa), f32s(w), f32s(b), rows, cols)
+		//fallvet:ignore hottrans simd.MatVecBiasF32 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
+		simd.MatVecBiasF32(f32s(db), f32s(xb), f32s(w), f32s(b), rows, cols)
 		return
 	}
 	o := 0
@@ -181,16 +185,12 @@ func matVecBiasReLU[S tensor.Scalar](dst, x, w, b []S, rows, cols int) {
 		d := f32s(dst)
 		//fallvet:ignore hottrans simd.MatVecBiasF32 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
 		simd.MatVecBiasF32(d, f32s(x), f32s(w), f32s(b), rows, cols)
-		reluF32(d[:rows])
+		reluClamp(d[:rows])
 		return
 	}
 	if cols >= 32 {
 		matVecBiasWide(dst, x, w, b, rows, cols)
-		for o, v := range dst[:rows] {
-			if v <= 0 {
-				dst[o] = 0
-			}
-		}
+		reluClamp(dst[:rows])
 		return
 	}
 	o := 0
@@ -253,11 +253,9 @@ func matVecBiasReLU[S tensor.Scalar](dst, x, w, b []S, rows, cols int) {
 //fallvet:hotpath
 func matVecBias2ReLU[S tensor.Scalar](da, db, xa, xb, w, b []S, rows, cols int) {
 	if !tensor.Is64[S]() {
-		fa, fb := f32s(da), f32s(db)
-		//fallvet:ignore hottrans simd.MatVecBias2F32 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
-		simd.MatVecBias2F32(fa, fb, f32s(xa), f32s(xb), f32s(w), f32s(b), rows, cols)
-		reluF32(fa[:rows])
-		reluF32(fb[:rows])
+		matVecBias2(da, db, xa, xb, w, b, rows, cols)
+		reluClamp(da[:rows])
+		reluClamp(db[:rows])
 		return
 	}
 	o := 0
@@ -373,14 +371,7 @@ const maxSparseCols = 1152
 func matVecBiasWide[S tensor.Scalar](dst, x, w, b []S, rows, cols int) {
 	if cols <= maxSparseCols {
 		var nz [maxSparseCols]int32
-		n := 0
-		for i := 0; i < cols; i++ {
-			if x[i] != 0 {
-				nz[n] = int32(i)
-				n++
-			}
-		}
-		if n <= cols-cols/8 {
+		if n := nonzeros(nz[:], x[:cols]); n <= cols-cols/8 {
 			matVecBiasSparse(dst, x, w, b, rows, cols, nz[:n])
 			return
 		}
@@ -421,6 +412,24 @@ func matVecBiasWide[S tensor.Scalar](dst, x, w, b []S, rows, cols int) {
 		}
 		dst[o] = s
 	}
+}
+
+// nonzeros writes the indices of x's nonzero entries, ascending, to
+// nz (len(nz) ≥ len(x)) and returns their count. −0 counts as zero;
+// NaN does not. Each index is stored unconditionally and only the
+// count is data-dependent, which keeps an unpredictable branch off
+// the scan.
+//
+//fallvet:hotpath
+func nonzeros[S tensor.Scalar](nz []int32, x []S) int {
+	n := 0
+	for i, v := range x {
+		nz[n] = int32(i)
+		if v != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // matVecBiasSparse accumulates only the terms whose input is nonzero,

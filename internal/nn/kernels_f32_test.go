@@ -50,57 +50,78 @@ func TestMatVecBiasF32AsmMatchesRef(t *testing.T) {
 }
 
 func TestMatVecBias2F32AsmMatchesRef(t *testing.T) {
+	if !simd.HasAVX() {
+		t.Skip("the f32 pair kernel is the AVX across-output PackedNarrow2F32")
+	}
 	rng := rand.New(rand.NewSource(72))
 	for _, sh := range f32Shapes {
 		if sh.cols >= 32 {
 			continue // pair kernel contract: narrow only
 		}
+		rows := sh.rows - sh.rows%simd.Unit32 + simd.Unit32 // whole units only
 		xa := randF32(rng, sh.cols)
 		xb := randF32(rng, sh.cols)
-		w := randF32(rng, sh.rows*sh.cols)
-		b := randF32(rng, sh.rows)
-		ga := make([]float32, sh.rows)
-		gb := make([]float32, sh.rows)
-		wa := make([]float32, sh.rows)
-		wb := make([]float32, sh.rows)
-		simd.MatVecBias2F32(ga, gb, xa, xb, w, b, sh.rows, sh.cols)
-		simd.MatVecBias2F32Ref(wa, wb, xa, xb, w, b, sh.rows, sh.cols)
+		w := randF32(rng, rows*sh.cols)
+		b := randF32(rng, rows)
+		ga := make([]float32, rows)
+		gb := make([]float32, rows)
+		wa := make([]float32, rows)
+		wb := make([]float32, rows)
+		simd.PackedNarrow2F32(ga, gb, xa, xb, packF32(w, rows, sh.cols), b, rows, sh.cols)
+		simd.MatVecBias2F32Ref(wa, wb, xa, xb, w, b, rows, sh.cols)
 		for o := range wa {
 			if math.Float32bits(ga[o]) != math.Float32bits(wa[o]) ||
 				math.Float32bits(gb[o]) != math.Float32bits(wb[o]) {
 				t.Fatalf("rows=%d cols=%d out %d: asm (%v,%v) != ref (%v,%v)",
-					sh.rows, sh.cols, o, ga[o], gb[o], wa[o], wb[o])
+					rows, sh.cols, o, ga[o], gb[o], wa[o], wb[o])
 			}
 		}
 	}
 }
 
+// packF32 re-lays a row-major f32 matrix into simd.Pack's layout (the
+// values are exact in float64, so the round trip is lossless).
+func packF32(w []float32, rows, cols int) []float32 {
+	src := make([]float64, len(w))
+	for i, v := range w {
+		src[i] = float64(v)
+	}
+	out := make([]float32, len(w))
+	simd.Pack(out, src, rows, cols, simd.Unit32)
+	return out
+}
+
 // TestMatVecBias2F32MatchesSingle is the f32 lane-pairing contract:
 // the pair kernel must equal two single-kernel calls bit-for-bit, so
 // a conv row scored alone at a stride matches the same row scored as
-// half of a pair.
+// half of a pair. The two sides are different assembly: the
+// across-output pair against the across-column single.
 func TestMatVecBias2F32MatchesSingle(t *testing.T) {
+	if !simd.HasAVX() {
+		t.Skip("the f32 pair kernel is the AVX across-output PackedNarrow2F32")
+	}
 	rng := rand.New(rand.NewSource(73))
 	for _, sh := range f32Shapes {
 		if sh.cols >= 32 {
 			continue
 		}
+		rows := sh.rows - sh.rows%simd.Unit32 + simd.Unit32
 		xa := randF32(rng, sh.cols)
 		xb := randF32(rng, sh.cols)
-		w := randF32(rng, sh.rows*sh.cols)
-		b := randF32(rng, sh.rows)
-		pa := make([]float32, sh.rows)
-		pb := make([]float32, sh.rows)
-		sa := make([]float32, sh.rows)
-		sb := make([]float32, sh.rows)
-		simd.MatVecBias2F32(pa, pb, xa, xb, w, b, sh.rows, sh.cols)
-		simd.MatVecBiasF32(sa, xa, w, b, sh.rows, sh.cols)
-		simd.MatVecBiasF32(sb, xb, w, b, sh.rows, sh.cols)
+		w := randF32(rng, rows*sh.cols)
+		b := randF32(rng, rows)
+		pa := make([]float32, rows)
+		pb := make([]float32, rows)
+		sa := make([]float32, rows)
+		sb := make([]float32, rows)
+		simd.PackedNarrow2F32(pa, pb, xa, xb, packF32(w, rows, sh.cols), b, rows, sh.cols)
+		simd.MatVecBiasF32(sa, xa, w, b, rows, sh.cols)
+		simd.MatVecBiasF32(sb, xb, w, b, rows, sh.cols)
 		for o := range sa {
 			if math.Float32bits(pa[o]) != math.Float32bits(sa[o]) ||
 				math.Float32bits(pb[o]) != math.Float32bits(sb[o]) {
 				t.Fatalf("rows=%d cols=%d out %d: pair (%v,%v) != single (%v,%v)",
-					sh.rows, sh.cols, o, pa[o], pb[o], sa[o], sb[o])
+					rows, sh.cols, o, pa[o], pb[o], sa[o], sb[o])
 			}
 		}
 	}
@@ -177,7 +198,7 @@ func TestMatVecBiasF32GenericDispatch(t *testing.T) {
 			}
 		}
 		matVecBiasReLU[float32](got, x, w, b, sh.rows, sh.cols)
-		reluF32(want)
+		reluClamp(want)
 		for o := range want {
 			if math.Float32bits(got[o]) != math.Float32bits(want[o]) {
 				t.Fatalf("matVecBiasReLU[float32] rows=%d cols=%d out %d: %v != %v",

@@ -1,0 +1,162 @@
+package nn
+
+import (
+	"unsafe"
+
+	"repro/internal/nn/simd"
+	"repro/internal/tensor"
+)
+
+// Across-output dispatch (DESIGN.md §12.7). The streamer's weight
+// matrices are packed once at construction into the layout the
+// simd.Packed* kernels read, where each vector lane computes one
+// output row in exactly the scalar order of the kernels in kernels.go
+// (f64) or of simd.MatVecBiasF32Ref (f32). Rows past the last whole
+// unit stay row-major and run through those same kernels, so every
+// output is bit-identical whichever route computed it. The batch path
+// (Dense/Conv1D.Forward) keeps the scalar kernels and is the oracle
+// the streamer is tested against.
+
+// useAVX gates the packed layout: without AVX the streamer packs
+// nothing and every call takes the scalar kernels. It is read at
+// streamer construction only.
+var useAVX = simd.HasAVX()
+
+// matOf is one matrix-vector step's parameters at width S: a
+// rows×cols weight matrix whose first `packed` rows are in the
+// simd.Pack layout (the rest row-major), and its bias. Both are
+// copies taken at construction — the streamer never reads the
+// network's live parameters.
+type matOf[S tensor.Scalar] struct {
+	w, b               []S
+	rows, cols, packed int
+}
+
+// newMat snapshots a layer's row-major float64 weights and bias
+// at width S in one pass, packing whole units when the across-output
+// kernels apply: AVX present, at least one unit of rows, and at f32
+// only narrow matrices — the f32 wide head keeps its across-column
+// kernel (simd.MatVecBiasF32).
+func newMat[S tensor.Scalar](w, b []float64, rows, cols int) matOf[S] {
+	unit := 0
+	switch {
+	case !useAVX:
+	case tensor.Is64[S]():
+		unit = simd.Unit64
+	case cols < 32:
+		unit = simd.Unit32
+	}
+	m := matOf[S]{w: make([]S, rows*cols), b: make([]S, rows), rows: rows, cols: cols}
+	m.packed = simd.Pack(m.w, w, rows, cols, unit)
+	simd.Pack(m.b, b, rows, 1, 0)
+	return m
+}
+
+// apply computes dst = W·x + b, clamped by ReLU's NaN-preserving rule
+// when relu is set.
+//
+//fallvet:hotpath
+func (m *matOf[S]) apply(dst, x []S, relu bool) {
+	w, b, rows, cols := m.w, m.b, m.rows, m.cols
+	if p := m.packed; p > 0 {
+		if tensor.Is64[S]() {
+			packedF64(f64s(dst), f64s(x), f64s(w), f64s(b), p, cols)
+		} else {
+			//fallvet:ignore hottrans simd.PackedNarrowF32 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
+			simd.PackedNarrowF32(f32s(dst), f32s(x), f32s(w), f32s(b), p, cols)
+		}
+		if relu {
+			reluClamp(dst[:p])
+		}
+		if p == rows {
+			return
+		}
+		dst, w, b, rows = dst[p:], w[p*cols:], b[p:], rows-p
+	}
+	if relu {
+		matVecBiasReLU(dst, x, w, b, rows, cols)
+	} else {
+		matVecBias(dst, x, w, b, rows, cols)
+	}
+}
+
+// apply2ReLU computes two ReLU-clamped rows da = W·xa + b and
+// db = W·xb + b with one read of the weights (narrow matrices only,
+// as matVecBias2ReLU).
+//
+//fallvet:hotpath
+func (m *matOf[S]) apply2ReLU(da, db, xa, xb []S) {
+	w, b, rows, cols := m.w, m.b, m.rows, m.cols
+	if p := m.packed; p > 0 {
+		if tensor.Is64[S]() {
+			//fallvet:ignore hottrans simd.PackedNarrow2F64 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
+			simd.PackedNarrow2F64(f64s(da), f64s(db), f64s(xa), f64s(xb), f64s(w), f64s(b), p, cols)
+		} else {
+			//fallvet:ignore hottrans simd.PackedNarrow2F32 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
+			simd.PackedNarrow2F32(f32s(da), f32s(db), f32s(xa), f32s(xb), f32s(w), f32s(b), p, cols)
+		}
+		reluClamp(da[:p])
+		reluClamp(db[:p])
+		if p == rows {
+			return
+		}
+		da, db, w, b, rows = da[p:], db[p:], w[p*cols:], b[p:], rows-p
+	}
+	matVecBias2ReLU(da, db, xa, xb, w, b, rows, cols)
+}
+
+// packedF64 runs whole packed f64 units through the kernel of the
+// order matVecBias would pick for (x, cols): narrow below 32 columns,
+// otherwise sparse or wide dense by matVecBiasWide's zero-count rule.
+//
+//fallvet:hotpath
+func packedF64(dst, x, w, b []float64, rows, cols int) {
+	if cols < 32 {
+		//fallvet:ignore hottrans simd.PackedNarrowF64 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
+		simd.PackedNarrowF64(dst, x, w, b, rows, cols)
+		return
+	}
+	if cols <= maxSparseCols {
+		var nz [maxSparseCols]int32
+		if n := nonzeros(nz[:], x[:cols]); n <= cols-cols/8 {
+			//fallvet:ignore hottrans simd.PackedSparseF64 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
+			simd.PackedSparseF64(dst, x, w, b, nz[:n], rows, cols)
+			return
+		}
+	}
+	//fallvet:ignore hottrans simd.PackedWideF64 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
+	simd.PackedWideF64(dst, x, w, b, rows, cols)
+}
+
+// reluClamp applies ReLU's clamp in place: v ≤ 0 becomes 0, and NaN
+// propagates because the comparison is false. The clamp stays in Go
+// rather than the assembly because MAXPS/MAXPD would resolve NaN to
+// the source operand and silently flush poisoned sums to zero.
+//
+//fallvet:hotpath
+func reluClamp[S tensor.Scalar](d []S) {
+	for i, v := range d {
+		if v <= 0 {
+			d[i] = 0
+		}
+	}
+}
+
+// f32s reinterprets a scalar slice as []float32. Callers guard with
+// !tensor.Is64[S], so S is float32 and this is the identity view; the
+// float64 instantiation compiles but is unreachable. No allocation —
+// unsafe.Slice builds a header over the existing backing array.
+func f32s[S tensor.Scalar](s []S) []float32 {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*float32)(unsafe.Pointer(&s[0])), len(s))
+}
+
+// f64s is f32s's float64 twin, behind a tensor.Is64[S] guard.
+func f64s[S tensor.Scalar](s []S) []float64 {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*float64)(unsafe.Pointer(&s[0])), len(s))
+}

@@ -133,87 +133,6 @@ mvb_store:
 mvb_done:
 	RET
 
-// func MatVecBias2F32(da, db, xa, xb, w, b []float32, rows, cols int)
-//
-// Pair kernel, cols < 32 only (matVecBias2's contract): each window
-// runs the narrow single order exactly — one quad accumulator per
-// window, each weight block loaded once and applied to both.
-TEXT ·MatVecBias2F32(SB), NOSPLIT, $0-160
-	MOVQ da_base+0(FP), DI
-	MOVQ db_base+24(FP), R10
-	MOVQ xa_base+48(FP), SI
-	MOVQ xb_base+72(FP), R12
-	MOVQ w_base+96(FP), DX
-	MOVQ b_base+120(FP), BX
-	MOVQ rows+144(FP), R8
-	MOVQ cols+152(FP), R9
-
-	MOVQ R9, R13
-	ANDQ $-4, R13 // quad limit
-
-	TESTQ R8, R8
-	JLE  mvb2_done
-
-mvb2_row:
-	XORPS X0, X0 // window a quad
-	XORPS X1, X1 // window b quad
-	XORQ  R11, R11
-
-mvb2_quad:
-	CMPQ   R11, R13
-	JGE    mvb2_fold
-	MOVUPS (DX)(R11*4), X4  // weight block, loaded once
-	MOVUPS (SI)(R11*4), X5
-	MULPS  X4, X5
-	ADDPS  X5, X0
-	MOVUPS (R12)(R11*4), X6
-	MULPS  X4, X6
-	ADDPS  X6, X1
-	ADDQ   $4, R11
-	JMP    mvb2_quad
-
-mvb2_fold:
-	MOVAPS  X0, X2
-	MOVHLPS X0, X2
-	ADDPS   X0, X2
-	MOVAPS  X2, X4
-	SHUFPS  $0x01, X2, X4
-	ADDSS   X4, X2       // sa = (l0+l2)+(l1+l3)
-	MOVAPS  X1, X3
-	MOVHLPS X1, X3
-	ADDPS   X1, X3
-	MOVAPS  X3, X5
-	SHUFPS  $0x01, X3, X5
-	ADDSS   X5, X3       // sb = (l0+l2)+(l1+l3)
-	MOVSS   (BX), X6
-	ADDSS   X6, X2       // + b[o]
-	ADDSS   X6, X3
-
-mvb2_rem:
-	CMPQ   R11, R9
-	JGE    mvb2_store
-	MOVSS  (DX)(R11*4), X4
-	MOVAPS X4, X5
-	MULSS  (SI)(R11*4), X4
-	ADDSS  X4, X2
-	MULSS  (R12)(R11*4), X5
-	ADDSS  X5, X3
-	INCQ   R11
-	JMP    mvb2_rem
-
-mvb2_store:
-	MOVSS X2, (DI)
-	MOVSS X3, (R10)
-	ADDQ  $4, DI
-	ADDQ  $4, R10
-	ADDQ  $4, BX
-	LEAQ  (DX)(R9*4), DX
-	DECQ  R8
-	JNZ   mvb2_row
-
-mvb2_done:
-	RET
-
 // func cpuHasAVX() bool
 //
 // CPUID leaf 1: ECX bit 28 = AVX, bit 27 = OSXSAVE; then XGETBV must

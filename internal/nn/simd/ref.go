@@ -1,9 +1,11 @@
-// Package simd holds the float32 matrix-vector kernels behind the nn
-// package's f32 dispatch: a portable reference that defines the exact
-// summation order, and amd64 SSE/AVX assembly that must match it
-// bit-for-bit (TestMatVecBiasF32AsmMatchesRef). On !amd64 the
-// reference is the implementation, so f32 results are identical
-// across architectures by construction.
+// Package simd holds the assembly matrix-vector kernels behind the nn
+// package: the float32 across-column kernel with a portable reference
+// that defines the exact f32 summation order (asm and reference must
+// match bit-for-bit, TestMatVecBiasF32AsmMatchesRef), and the AVX
+// across-output Packed kernels (packed.go), which reproduce the
+// frozen float64 order and the f32 narrow order lane by lane. On
+// !amd64 the reference is the implementation, so f32 results are
+// identical across architectures by construction.
 //
 // The kernels live in their own package deliberately. An assembly
 // file inside package nn itself measurably perturbed the code layout
@@ -36,9 +38,10 @@
 // sequence of the four SSE quads: the AVX and SSE loops are
 // bit-identical, so the CPU gate selects speed, never values.
 //
-// The pair kernel runs each window through exactly the narrow order,
-// so lane uniformity and pair-matches-single hold at float32 just as
-// they do at float64. The f32 wide path never routes to a sparse
+// The pair order (MatVecBias2F32Ref, implemented by PackedNarrow2F32)
+// runs each window through exactly the narrow order, so lane
+// uniformity and pair-matches-single hold at float32 just as they do
+// at float64. The f32 wide path never routes to a sparse
 // kernel: a dense 4-lane pass beats the scalar gather on every layer
 // shape in this topology, and one fewer x-dependent branch keeps the
 // order a function of cols alone.
@@ -88,7 +91,8 @@ func MatVecBiasF32Ref(dst, x, w, b []float32, rows, cols int) {
 
 // MatVecBias2F32Ref is the portable f32 pair kernel: both windows run
 // through exactly the narrow single order, sharing one read of each
-// weight. Like nn's matVecBias2 it is only valid for cols < 32.
+// weight. Like nn's matVecBias2 it is only valid for cols < 32. It is
+// the oracle PackedNarrow2F32 is tested against.
 func MatVecBias2F32Ref(da, db, xa, xb, w, b []float32, rows, cols int) {
 	for o := 0; o < rows; o++ {
 		row := w[o*cols : (o+1)*cols]

@@ -1,10 +1,11 @@
 package simd
 
-// SSE/AVX implementations (kernels_amd64.s). Both follow the
-// summation order defined by the Ref functions exactly, so asm and
-// reference are bit-identical. SSE2 is part of the amd64 baseline, so
-// no feature detection is needed for the base path. Both are NOSPLIT
-// leaves that allocate nothing.
+// SSE/AVX implementations (kernels_amd64.s, packed_amd64.s). Each
+// follows the summation order defined by its scalar reference
+// exactly, so asm and reference are bit-identical. SSE2 is part of
+// the amd64 baseline, so MatVecBiasF32 needs no feature detection;
+// the Packed kernels are AVX-only and must be gated on HasAVX. All
+// are NOSPLIT leaves that allocate nothing.
 
 // MatVecBiasF32 computes dst[o] = b[o] + Σ_i w[o·cols+i]·x[i] in the
 // package-documented f32 order.
@@ -12,11 +13,41 @@ package simd
 //go:noescape
 func MatVecBiasF32(dst, x, w, b []float32, rows, cols int)
 
-// MatVecBias2F32 runs two input windows against a shared weight
-// matrix, each in the narrow single order. cols must be < 32.
+// PackedNarrowF64 computes dst[o] = b[o] + Σ_i w_o[i]·x[i] for the
+// packed rows of w in nn's f64 narrow order (cols < 32).
 //
 //go:noescape
-func MatVecBias2F32(da, db, xa, xb, w, b []float32, rows, cols int)
+func PackedNarrowF64(dst, x, w, b []float64, rows, cols int)
+
+// PackedNarrow2F64 is PackedNarrowF64 for two input windows sharing
+// the packed weights.
+//
+//go:noescape
+func PackedNarrow2F64(da, db, xa, xb, w, b []float64, rows, cols int)
+
+// PackedWideF64 computes the packed rows in nn's f64 wide dense order
+// (cols ≥ 32).
+//
+//go:noescape
+func PackedWideF64(dst, x, w, b []float64, rows, cols int)
+
+// PackedSparseF64 computes the packed rows in nn's f64 sparse order:
+// bias plus one product per column listed in nz, ascending.
+//
+//go:noescape
+func PackedSparseF64(dst, x, w, b []float64, nz []int32, rows, cols int)
+
+// PackedNarrowF32 computes the packed rows in MatVecBiasF32Ref's
+// narrow order (cols < 32).
+//
+//go:noescape
+func PackedNarrowF32(dst, x, w, b []float32, rows, cols int)
+
+// PackedNarrow2F32 is PackedNarrowF32 for two input windows sharing
+// the packed weights, in MatVecBias2F32Ref's order.
+//
+//go:noescape
+func PackedNarrow2F32(da, db, xa, xb, w, b []float32, rows, cols int)
 
 func cpuHasAVX() bool
 
@@ -26,3 +57,7 @@ func cpuHasAVX() bool
 // VMULPS/VADDPS only: FMA would skip the product rounding the
 // reference pins.
 var useAVX = cpuHasAVX()
+
+// HasAVX reports whether the CPU and OS support AVX, which the Packed
+// kernels require.
+func HasAVX() bool { return useAVX }

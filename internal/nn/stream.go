@@ -14,9 +14,9 @@ import (
 // ring:
 //
 //   - every new input row uncovers exactly one new Conv1D output row
-//     per branch (once Kernel rows of history exist), computed with
-//     the same matVecBias micro-kernel the batch path uses and stored
-//     post-ReLU;
+//     per branch (once Kernel rows of history exist), computed in
+//     the per-output order of the matVecBias micro-kernel the batch
+//     path uses and stored post-ReLU;
 //   - max pooling runs on the absolute pooling grid: window starts are
 //     multiples of Step and Step is a multiple of Pool (checked at
 //     construction), so the pool windows of consecutive decisions are
@@ -31,15 +31,17 @@ import (
 //
 // Per decision that is O(Step·Kernel·C) conv work plus the head,
 // instead of O(Window·Kernel·C) plus the head — and because every
-// floating-point sum is produced by the same kernel in the same
-// order over the same values, the result is bit-identical to
+// floating-point sum is produced in the same order over the same
+// values, the result is bit-identical to
 // Network.Predict on the assembled window at S=float64, not merely
-// close. At S=float32 the model's float64 checkpoint is lowered
-// (round-to-nearest-even per weight) once at construction and every
-// kernel runs at single precision; the same order contract then makes
-// the f32 streaming and f32 batch paths bit-identical to each other,
-// with the f64 oracle agreement proven statistically by the precision
-// harness rather than bit-for-bit.
+// close. The kernels read a copy of the parameters taken once at
+// construction, packed for the across-output AVX kernels, which keep
+// the scalar kernels' per-output order bit for bit. At S=float32 that
+// copy is the model's float64 checkpoint lowered (round-to-nearest-even
+// per weight) and every kernel runs at single precision; the same
+// order contract then makes the f32 streaming and f32 batch paths
+// bit-identical to each other, with the f64 oracle agreement proven
+// statistically by the precision harness rather than bit-for-bit.
 //
 // Branches whose input columns the caller re-bases per window (the
 // detector subtracts the window-initial yaw from the Euler channels)
@@ -109,11 +111,10 @@ const (
 // decision path — and gives float32 a complete head with no float64
 // layer objects in the loop.
 type headStepOf[S tensor.Scalar] struct {
-	op      headOp
-	relu    bool // headDense: fold the following ReLU into the kernel's stores
-	out, in int  // headDense dimensions
-	w, b    []S  // headDense parameters (aliased at f64, lowered copies at f32)
-	buf     []S  // step output
+	op   headOp
+	relu bool     // headDense: fold the following ReLU into the kernel's stores
+	mat  matOf[S] // headDense parameters: packed copy taken at construction
+	buf  []S      // step output
 }
 
 // branchStreamOf is one Branch column range: either streamed through
@@ -134,13 +135,13 @@ type branchStreamOf[S tensor.Scalar] struct {
 
 	// Conv/pool geometry, set whenever the stack is canonical (the
 	// streaming, fused-batch and BatchScore forms all use it).
-	filters   int
-	kernel    int
-	wgt, bias []S // conv parameters (aliased at f64, lowered copies at f32)
-	pool      int
-	convT     int // conv rows per window = window−Kernel+1
-	fullPool  int // complete pool rows per window = convT/pool
-	tailLo    int // window-relative conv row where the partial pool tail starts (== convT when none)
+	filters  int
+	kernel   int
+	conv     matOf[S] // conv parameters: packed copy taken at construction
+	pool     int
+	convT    int // conv rows per window = window−Kernel+1
+	fullPool int // complete pool rows per window = convT/pool
+	tailLo   int // window-relative conv row where the partial pool tail starts (== convT when none)
 
 	// Double-write input ring: [(window+kernel−1) × w]. Absolute row r
 	// lives at slot r mod window; rows landing in slots < kernel−1 are
@@ -178,8 +179,8 @@ type branchStreamOf[S tensor.Scalar] struct {
 	// started before the stream epoch (partial after Restart).
 	rmax     []S
 	phase    int
-	poolRing []S  // [fullPool × Filters]; absolute pool row r at slot r%fullPool
-	poolSlot int  // poolRing slot of the next emitted pool row (wraps at fullPool)
+	poolRing []S // [fullPool × Filters]; absolute pool row r at slot r%fullPool
+	poolSlot int // poolRing slot of the next emitted pool row (wraps at fullPool)
 }
 
 // StreamConfig describes the stream a Streamer will consume.
@@ -210,12 +211,16 @@ func NewStreamer(net *Network, cfg StreamConfig) (*Streamer, error) {
 // layer objects, so there is nothing for a non-canonical stack to fall
 // back to.
 //
-// At S=float64 the Streamer shares net's parameters and batch-fallback
-// layer scratch: scoring through it and through net.Predict interleave
-// safely (outputs are copied out of layer scratch), but neither may
-// run concurrently. At S=float32 the parameters are lowered copies
-// taken at construction — a frozen snapshot of the checkpoint, which
-// is how the deployment target consumes a model anyway.
+// The Streamer snapshots net's parameters at construction, at both
+// widths: each Conv1D and Dense matrix is copied once, lowered to S
+// (round-to-nearest-even at float32) and, where the AVX kernels apply,
+// packed into their across-output layout in the same pass (DESIGN.md
+// §12.7). Updating net in place afterwards does not reach the
+// Streamer; build a new one. The one exception is a non-canonical
+// branch stack (float64 only), which runs net's own layer objects and
+// shares their parameters and scratch: scoring through it and through
+// net.Predict interleave safely (outputs are copied out of layer
+// scratch), but neither may run concurrently.
 func NewStreamerOf[S tensor.Scalar](net *Network, cfg StreamConfig) (*StreamerOf[S], error) {
 	if net == nil || len(net.Layers) == 0 {
 		return nil, fmt.Errorf("nn: streamer needs a non-empty network")
@@ -303,9 +308,8 @@ func (s *StreamerOf[S]) buildHead(layers []Layer, width int) {
 		switch l := layers[i].(type) {
 		case *Dense:
 			st := headStepOf[S]{
-				op: headDense, out: l.Out, in: l.In,
-				w:   lowerOrAlias[S](l.Weight.W.Data()),
-				b:   lowerOrAlias[S](l.Bias.W.Data()),
+				op:  headDense,
+				mat: newMat[S](l.Weight.W.Data(), l.Bias.W.Data(), l.Out, l.In),
 				buf: make([]S, l.Out),
 			}
 			if i+1 < len(layers) {
@@ -333,7 +337,7 @@ func (s *StreamerOf[S]) buildHead(layers []Layer, width int) {
 // re-based per window, and the stride keeps window starts on the
 // pooling grid (Step divisible by Pool). A canonical stack that cannot
 // stream (re-based columns, misaligned stride) is recomputed per
-// decision but in fused row-wise form — same kernel, same values, no
+// decision but in fused row-wise form — same order, same values, no
 // intermediate layer tensors. Anything else goes through the model's
 // own layer objects (float64 only).
 func (s *StreamerOf[S]) configureBranch(b *branchStreamOf[S], rebase []bool) {
@@ -363,8 +367,7 @@ func (s *StreamerOf[S]) configureBranch(b *branchStreamOf[S], rebase []bool) {
 	b.canon = true
 	b.filters = conv.Filters
 	b.kernel = conv.Kernel
-	b.wgt = lowerOrAlias[S](conv.Weight.W.Data())
-	b.bias = lowerOrAlias[S](conv.Bias.W.Data())
+	b.conv = newMat[S](conv.Weight.W.Data(), conv.Bias.W.Data(), conv.Filters, conv.Kernel*w)
 	b.pool = mp.Pool
 	b.convT = convT
 	b.fullPool = convT / mp.Pool
@@ -519,7 +522,7 @@ func (b *branchStreamOf[S]) pushConv(s *StreamerOf[S], a int) {
 			b.aslot = 0
 		}
 	}
-	matVecBias2ReLU(da, db, xa, xb, b.wgt, b.bias, F, kc)
+	b.conv.apply2ReLU(da, db, xa, xb)
 	b.absorb(s, da, a-1)
 	b.absorb(s, db, a)
 }
@@ -545,7 +548,7 @@ func (b *branchStreamOf[S]) convRow(s *StreamerOf[S], a int) {
 			b.aslot = 0
 		}
 	}
-	matVecBiasReLU(orow, win, b.wgt, b.bias, F, kc)
+	b.conv.apply(orow, win, true)
 	b.absorb(s, orow, a)
 }
 
@@ -664,11 +667,7 @@ func (s *StreamerOf[S]) runHead(cur []S) S {
 		st := &s.head[i]
 		switch st.op {
 		case headDense:
-			if st.relu {
-				matVecBiasReLU(st.buf, cur, st.w, st.b, st.out, st.in)
-			} else {
-				matVecBias(st.buf, cur, st.w, st.b, st.out, st.in)
-			}
+			st.mat.apply(st.buf, cur, st.relu)
 		case headReLU:
 			reluInto(st.buf, cur)
 		case headSigmoid:
@@ -767,8 +766,8 @@ func (s *StreamerOf[S]) runBatchBranch(b *branchStreamOf[S], dst []S, start int)
 // fusedConvPool evaluates a canonical Conv→ReLU→MaxPool stack over the
 // assembled window row-wise, writing pooled rows (and the trailing
 // partial block) straight into dst. It produces bit-identical values
-// to the layer objects — each conv row goes through the same
-// matVecBias call on the same contiguous input slice, ReLU is the same
+// to the layer objects — each conv row is matVecBias's per-output
+// order over the same contiguous input slice, ReLU is the same
 // v ≤ 0 clamp, pooling the same strict-`>` running max — while
 // skipping every intermediate tensor.
 //
@@ -776,18 +775,17 @@ func (s *StreamerOf[S]) runBatchBranch(b *branchStreamOf[S], dst []S, start int)
 func (b *branchStreamOf[S]) fusedConvPool(dst, ind []S) {
 	w := b.hi - b.lo
 	kc := b.kernel * w
-	F := b.filters
 	phase, n := 0, 0
 	t := 0
 	if kc < 32 {
 		for ; t+2 <= b.convT; t += 2 {
-			matVecBias2ReLU(b.crow, b.crow2, ind[t*w:t*w+kc], ind[(t+1)*w:(t+1)*w+kc], b.wgt, b.bias, F, kc)
+			b.conv.apply2ReLU(b.crow, b.crow2, ind[t*w:t*w+kc], ind[(t+1)*w:(t+1)*w+kc])
 			phase, n = b.fusedAbsorb(dst, b.crow, phase, n)
 			phase, n = b.fusedAbsorb(dst, b.crow2, phase, n)
 		}
 	}
 	for ; t < b.convT; t++ {
-		matVecBiasReLU(b.crow, ind[t*w:t*w+kc], b.wgt, b.bias, F, kc)
+		b.conv.apply(b.crow, ind[t*w:t*w+kc], true)
 		phase, n = b.fusedAbsorb(dst, b.crow, phase, n)
 	}
 }

@@ -20,7 +20,7 @@ import (
 // safe on its own.
 type breaker struct {
 	window  []time.Duration
-	scratch []float64
+	scratch []time.Duration
 	pos, n  int
 	level   int
 	calm    int
@@ -29,7 +29,7 @@ type breaker struct {
 func newBreaker(window int) breaker {
 	return breaker{
 		window:  make([]time.Duration, window),
-		scratch: make([]float64, 0, window),
+		scratch: make([]time.Duration, 0, window),
 	}
 }
 
@@ -45,29 +45,36 @@ func breakerCeiling(level int) cascade.Tier {
 	}
 }
 
-// p99 computes the 99th-percentile latency over the current window.
-// The window is small (tens of entries) and the scratch buffer is
-// reused, so an in-place insertion sort keeps this allocation-free on
-// the serving path.
+// p99 returns the 99th-percentile latency over the current window:
+// the ceil(0.99·n)-th smallest of the n entries, i.e. the k-th largest
+// with k = n − ceil(0.99·n) + 1. Up to a window of 100, k is 1 and the
+// answer is the maximum; a window of 200 needs the third largest. A
+// descending top-k kept in the scratch buffer selects it in one pass
+// over the window — no sort, no allocation on the serving path.
 func (b *breaker) p99() time.Duration {
-	b.scratch = b.scratch[:0]
-	for i := 0; i < b.n; i++ {
-		b.scratch = append(b.scratch, float64(b.window[i]))
+	n := b.n
+	idx := (99*n + 99) / 100 // ceil(0.99·n)
+	if idx > n {
+		idx = n
 	}
-	for i := 1; i < len(b.scratch); i++ {
-		v := b.scratch[i]
-		j := i - 1
-		for j >= 0 && b.scratch[j] > v {
-			b.scratch[j+1] = b.scratch[j]
+	k := n - idx + 1
+	top := b.scratch[:0] // the k largest seen so far, descending
+	for _, v := range b.window[:n] {
+		if len(top) == k {
+			if v <= top[k-1] {
+				continue
+			}
+		} else {
+			top = append(top, v)
+		}
+		j := len(top) - 1
+		for j > 0 && top[j-1] < v {
+			top[j] = top[j-1]
 			j--
 		}
-		b.scratch[j+1] = v
+		top[j] = v
 	}
-	idx := (99*len(b.scratch) + 99) / 100 // ceil(0.99·n)
-	if idx > len(b.scratch) {
-		idx = len(b.scratch)
-	}
-	return time.Duration(b.scratch[idx-1])
+	return top[k-1]
 }
 
 // observe records one decision latency and returns the (possibly

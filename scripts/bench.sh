@@ -16,9 +16,11 @@
 #   - the incremental streaming path loses its headline win: the
 #     Benchmark_Edge_StreamingPushCNN speedup over the pre-engine seed
 #     drops below 3x;
-#   - the f32 streaming push (Benchmark_Edge_StreamingPushCNN_F32)
-#     runs less than 1.2x faster than the f64 row measured in the same
-#     run — the SSE/AVX f32 kernels must stay worth having;
+#   - a SIMD kernel row (Benchmark_Kernel_*, internal/nn) runs less
+#     than 1.2x faster than its scalar reference row (the same name
+#     with _Ref: the frozen Go kernel at f64, the simd Ref at f32) at
+#     the same shape in the same run — the AVX kernels must stay worth
+#     having at both widths;
 #   - (short mode only) any benchmark regresses more than 15% in ns/op
 #     against the committed BENCH_baseline.json. The Parallel_Fit
 #     benchmarks are excluded from that gate: multi-worker fits are
@@ -45,13 +47,17 @@ if [ "$1" = "-short" ]; then
     COUNT=2
 fi
 
-PATTERN='Benchmark_Table3_Inference_|Benchmark_Edge_FloatInference|Benchmark_Edge_QuantizedInference|Benchmark_Edge_StreamingPush|Benchmark_Parallel_Fit_|Benchmark_Cascade_Push|Benchmark_Serve_SessionPush'
+PATTERN='Benchmark_Table3_Inference_|Benchmark_Edge_FloatInference|Benchmark_Edge_QuantizedInference|Benchmark_Edge_StreamingPush|Benchmark_Parallel_Fit_|Benchmark_Cascade_Push|Benchmark_Serve_SessionPush|Benchmark_Kernel_'
+# The end-to-end rows live in the root package, the kernel rows next
+# to the kernels they measure. -p 1 runs the two test binaries one
+# after the other: side by side they would time each other's load.
+PKGS='. ./internal/nn'
 
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
 echo "== bench: go test -bench ($MODE, $BENCHTIME per benchmark, count=$COUNT)"
-go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$RAW"
+go test -p 1 -run '^$' -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" $PKGS | tee "$RAW"
 
 awk -v mode="$MODE" -v out="$OUT" '
 BEGIN {
@@ -118,11 +124,11 @@ BEGIN {
     # fail if the margin erodes below 3x even while ns/op stays within
     # the 15% regression gate of a drifting baseline.
     min_speedup["Benchmark_Edge_StreamingPushCNN"] = 3.0
-    # Paired-width gate: the f32 streaming path exists to be faster —
-    # the SSE/AVX kernels (internal/nn/simd) must keep it at
-    # least 1.2x over the f64 row measured in the same run, so the
-    # ratio is immune to absolute container drift.
-    f32_min["Benchmark_Edge_StreamingPushCNN"] = 1.2
+    # Paired kernel gate: every SIMD kernel row must stay at least
+    # 1.2x over its scalar reference row (name + "_Ref") measured in
+    # the same run at the same shape, so the ratio is immune to
+    # absolute container drift and guards both widths.
+    kernel_min = 1.2
     n = 0
     bad = 0
 }
@@ -182,22 +188,29 @@ END {
             printf "== bench: %s holds %.2fx vs seed (gate %.1fx)\n", name, sp, min_speedup[name]
         }
     }
-    for (name in f32_min) {
-        f32name = name "_F32"
-        if (!(name in idx) || !(f32name in idx)) {
-            printf "bench: FAIL %s/%s width pair gated at %.1fx but did not both run\n", \
-                name, f32name, f32_min[name] > "/dev/stderr"
+    kernels = 0
+    for (i = 0; i < n; i++) {
+        name = names[i]
+        if (name !~ /^Benchmark_Kernel_/ || name ~ /_Ref$/) continue
+        kernels++
+        ref = name "_Ref"
+        if (!(ref in idx)) {
+            printf "bench: FAIL %s has no %s row to gate against\n", name, ref > "/dev/stderr"
             bad = 1
             continue
         }
-        sp = (nss[idx[name]] + 0) / (nss[idx[f32name]] + 0)
-        if (sp < f32_min[name]) {
-            printf "bench: FAIL %s is %.2fx over the f64 row, gate requires >= %.1fx\n", \
-                f32name, sp, f32_min[name] > "/dev/stderr"
+        sp = (nss[idx[ref]] + 0) / (nss[i] + 0)
+        if (sp < kernel_min) {
+            printf "bench: FAIL %s is %.2fx over its scalar reference, gate requires >= %.1fx\n", \
+                name, sp, kernel_min > "/dev/stderr"
             bad = 1
         } else {
-            printf "== bench: %s holds %.2fx over f64 (gate %.1fx)\n", f32name, sp, f32_min[name]
+            printf "== bench: %s holds %.2fx over %s (gate %.1fx)\n", name, sp, ref, kernel_min
         }
+    }
+    if (kernels == 0) {
+        print "bench: FAIL no Benchmark_Kernel_ rows ran for the SIMD kernel gate" > "/dev/stderr"
+        bad = 1
     }
     if (bad) exit 1
 }

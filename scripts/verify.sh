@@ -50,8 +50,9 @@
 #      steady-state path that must be allocation-free (streaming push,
 #      quantized predict, cascade/serve push, warm snapshots) reports
 #      allocs/op > 0 OR B/op > 0, when the streaming CNN push drops
-#      below 3x its pre-engine seed, when the f32 streaming push is
-#      less than 1.2x over the f64 row, or when any benchmark regresses
+#      below 3x its pre-engine seed, when a SIMD kernel row
+#      (Benchmark_Kernel_*) is less than 1.2x over its scalar
+#      reference row at the same shape, or when any benchmark regresses
 #      more than 15% in ns/op against the committed baseline
 #      (Parallel_Fit excluded as scheduler-noise-dominated). The
 #      comparison summary lands in results_ci.txt via the tee below.
