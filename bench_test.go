@@ -16,6 +16,7 @@ package repro
 //	E9 (ablation)   Benchmark_Ablation_Augment
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"sync"
@@ -322,6 +323,49 @@ func Benchmark_Edge_StreamingPushCNN_F32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		det.Push(imu.Vec3{Z: 1}, imu.Vec3{})
+	}
+}
+
+func Benchmark_Edge_StreamingPushCNN_Fleet16(b *testing.B) {
+	// Sixteen wearers of one model, as a server hosts them: every
+	// detector is built from its own loaded copy of the CNN, and the
+	// detectors are pushed round-robin. Detectors of bit-identical
+	// parameters share one weight copy, so the head's weights stay in
+	// cache from wearer to wearer; per push this should cost about
+	// what the single-detector row does. Must hold 0 allocs/op.
+	m, _ := edgeFixtures(b)
+	var img bytes.Buffer
+	if err := m.Net.Save(&img); err != nil {
+		b.Fatal(err)
+	}
+	dets := make([]*edge.Detector, 16)
+	for i := range dets {
+		c, err := model.New(model.KindCNN, model.Config{WindowSamples: 40}, rand.New(rand.NewSource(int64(100+i))))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Net.Load(bytes.NewReader(img.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+		if dets[i], err = edge.NewDetector(c, edge.DetectorConfig{WindowMS: 400, Overlap: 0.5}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// A moving wrist, so the conv rows and the head's input are dense
+	// and a decision reads the whole head.
+	var acc, gyro [97]imu.Vec3
+	for j := range acc {
+		t := float64(j)
+		acc[j] = imu.Vec3{X: 0.3 * math.Sin(0.21*t), Y: 0.2 * math.Cos(0.13*t), Z: 1 + 0.4*math.Sin(0.07*t)}
+		gyro[j] = imu.Vec3{X: 40 * math.Cos(0.17*t), Y: 25 * math.Sin(0.11*t), Z: 10 * math.Sin(0.05*t)}
+	}
+	for i := 0; i < 3*dets[0].Window*len(dets); i++ { // fill every ring, warm layer scratch
+		dets[i%len(dets)].Push(acc[i%len(acc)], gyro[i%len(gyro)])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dets[i%len(dets)].Push(acc[i%len(acc)], gyro[i%len(gyro)])
 	}
 }
 

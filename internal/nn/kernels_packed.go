@@ -1,7 +1,11 @@
 package nn
 
 import (
+	"math"
+	"runtime"
+	"sync"
 	"unsafe"
+	"weak"
 
 	"repro/internal/nn/simd"
 	"repro/internal/tensor"
@@ -26,30 +30,140 @@ var useAVX = simd.HasAVX()
 // rows×cols weight matrix whose first `packed` rows are in the
 // simd.Pack layout (the rest row-major), and its bias. Both are
 // copies taken at construction — the streamer never reads the
-// network's live parameters.
+// network's live parameters — and both are read-only: w and b view
+// one interned copy that every streamer built from bit-identical
+// parameters shares (see sharedMat).
 type matOf[S tensor.Scalar] struct {
 	w, b               []S
 	rows, cols, packed int
 }
 
-// newMat snapshots a layer's row-major float64 weights and bias
-// at width S in one pass, packing whole units when the across-output
-// kernels apply: AVX present, at least one unit of rows, and at f32
-// only narrow matrices — the f32 wide head keeps its across-column
-// kernel (simd.MatVecBiasF32).
+// newMat returns a layer's row-major float64 weights and bias at
+// width S, packing whole units when the across-output kernels apply:
+// AVX present, at least one unit of rows, and at f32 only narrow
+// matrices — the f32 wide head keeps its across-column kernel
+// (simd.MatVecBiasF32).
 func newMat[S tensor.Scalar](w, b []float64, rows, cols int) matOf[S] {
-	unit := 0
+	return sharedMat[S](w, b, rows, cols, packUnit[S](cols))
+}
+
+// packUnit is the simd.Pack unit newMat packs a cols-wide matrix in at
+// width S, 0 for row-major.
+func packUnit[S tensor.Scalar](cols int) int {
 	switch {
 	case !useAVX:
+		return 0
 	case tensor.Is64[S]():
-		unit = simd.Unit64
+		return simd.Unit64
 	case cols < 32:
-		unit = simd.Unit32
+		return simd.Unit32
 	}
-	m := matOf[S]{w: make([]S, rows*cols), b: make([]S, rows), rows: rows, cols: cols}
+	return 0
+}
+
+// matKey files an interned copy under its shape, layout and content.
+// size (bytes per scalar) and unit keep the widths and the packed and
+// row-major layouts apart; sum hashes the source float64 bits of the
+// weights and bias. The hash only narrows the search: a copy is
+// shared after a bit-for-bit comparison, never on the hash alone.
+type matKey struct {
+	size, rows, cols, unit int
+	sum                    uint64
+}
+
+// matTable interns the streamers' weight copies. Each entry is a
+// weak.Pointer[S] (S fixed by the key's size) to the first element of
+// one copy's backing array, which holds the weights and then the
+// bias. Any streamer reading the copy keeps that array alive; once
+// none does, the collector clears the pointer and the copy's cleanup
+// (dropDeadMats) deletes the entry, so the table never pins a model.
+var matTable struct {
+	sync.Mutex
+	m map[matKey][]any
+}
+
+// sharedMat returns the interned copy of (w, b) at width S in the
+// given pack unit, building and interning it on the first request.
+// Sharing is safe because the streamer never writes its matrices
+// after construction; a network updated in place hashes or compares
+// differently and gets a copy of its own. The table is touched only
+// at construction, never on the hot path.
+func sharedMat[S tensor.Scalar](w, b []float64, rows, cols, unit int) matOf[S] {
+	n := rows * cols
+	m := matOf[S]{rows: rows, cols: cols}
+	if rows == 0 {
+		return m
+	}
+	size := int(unsafe.Sizeof(S(0)))
+	k := matKey{size: size, rows: rows, cols: cols, unit: unit, sum: bitsHash(bitsHash(fnvOffset, w), b)}
+	matTable.Lock()
+	defer matTable.Unlock()
+	for _, e := range matTable.m[k] {
+		p := e.(weak.Pointer[S]).Value()
+		if p == nil {
+			continue
+		}
+		buf := unsafe.Slice(p, n+rows)
+		if simd.PackEqual(buf[:n], w, rows, cols, unit) && simd.PackEqual(buf[n:], b, rows, 1, 0) {
+			m.w, m.b = buf[:n:n], buf[n:]
+			m.packed = simd.PackedRows(rows, unit)
+			return m
+		}
+	}
+	// At least 16 bytes: the runtime packs smaller pointer-free
+	// objects into shared blocks, whose weak pointers and cleanups
+	// wait for every neighbour in the block to die as well.
+	buf := make([]S, n+rows, max(n+rows, 16/size))
+	m.w, m.b = buf[:n:n], buf[n:]
 	m.packed = simd.Pack(m.w, w, rows, cols, unit)
 	simd.Pack(m.b, b, rows, 1, 0)
+	if matTable.m == nil {
+		matTable.m = make(map[matKey][]any)
+	}
+	matTable.m[k] = append(matTable.m[k], weak.Make(&buf[0]))
+	runtime.AddCleanup(&buf[0], dropDeadMats[S], k)
 	return m
+}
+
+// dropDeadMats removes k's entries whose copy has been collected, and
+// k itself once none is left. It runs as the cleanup of each copy
+// filed under k.
+func dropDeadMats[S tensor.Scalar](k matKey) {
+	matTable.Lock()
+	defer matTable.Unlock()
+	live := matTable.m[k][:0]
+	for _, e := range matTable.m[k] {
+		if e.(weak.Pointer[S]).Value() != nil {
+			live = append(live, e)
+		}
+	}
+	if len(live) == 0 {
+		delete(matTable.m, k)
+		return
+	}
+	matTable.m[k] = live
+}
+
+const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
+
+// bitsHash folds the bit patterns of v into h, FNV-1a style one
+// 64-bit word at a time. Four interleaved lanes break the multiply
+// chain, since construction hashes every weight; each lane and the
+// final fold are bijective in any one word, so matrices that differ in
+// a single word never collide.
+func bitsHash(h uint64, v []float64) uint64 {
+	l := [4]uint64{h, h ^ 1, h ^ 2, h ^ 3}
+	i := 0
+	for ; i+4 <= len(v); i += 4 {
+		l[0] = (l[0] ^ math.Float64bits(v[i])) * fnvPrime
+		l[1] = (l[1] ^ math.Float64bits(v[i+1])) * fnvPrime
+		l[2] = (l[2] ^ math.Float64bits(v[i+2])) * fnvPrime
+		l[3] = (l[3] ^ math.Float64bits(v[i+3])) * fnvPrime
+	}
+	for ; i < len(v); i++ {
+		l[0] = (l[0] ^ math.Float64bits(v[i])) * fnvPrime
+	}
+	return ((l[0]*fnvPrime^l[1])*fnvPrime^l[2])*fnvPrime ^ l[3]
 }
 
 // apply computes dst = W·x + b, clamped by ReLU's NaN-preserving rule

@@ -249,7 +249,9 @@ func TestPackLayout(t *testing.T) {
 
 // TestStreamerSnapshotsWeights: a streamer owns a copy of the
 // network's parameters taken at construction, at both widths, so
-// updating the network in place afterwards leaves Score unchanged.
+// updating the network in place afterwards leaves Score unchanged. A
+// streamer built from the updated network gets copies of its own
+// rather than the first streamer's shared ones.
 func TestStreamerSnapshotsWeights(t *testing.T) {
 	t.Run("f64", func(t *testing.T) { streamerSnapshotsWeights[float64](t) })
 	t.Run("f32", func(t *testing.T) { streamerSnapshotsWeights[float32](t) })
@@ -286,6 +288,25 @@ func streamerSnapshotsWeights[S tensor.Scalar](t *testing.T) {
 	}
 	if got := score(); math.Float64bits(got) != math.Float64bits(before) {
 		t.Fatalf("score moved after an in-place weight update: %v then %v", before, got)
+	}
+	st2, err := NewStreamerOf[S](net, StreamConfig{InCh: inCh, Window: window, Step: step, RebaseCols: []int{8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, same := range sharedArrays(t, st, st2) {
+		if same {
+			t.Fatalf("matrix %d: the updated network shares the first streamer's copy", i)
+		}
+	}
+	if got := score(); math.Float64bits(got) != math.Float64bits(before) {
+		t.Fatalf("score moved after a second streamer was built from the updated network: %v then %v", before, got)
+	}
+	st2.Reset()
+	for _, r := range rows {
+		st2.Push(r)
+	}
+	if got := st2.Score(); math.Float64bits(got) == math.Float64bits(before) {
+		t.Fatalf("the updated network scores %v, as before the update", got)
 	}
 }
 

@@ -1,5 +1,10 @@
 package simd
 
+import (
+	"math"
+	"unsafe"
+)
+
 // Across-output kernels. The kernels in kernels_amd64.s vectorise
 // across the columns of one output row, which forces a SIMD summation
 // order of their own (the f32 order above). The Packed kernels
@@ -39,10 +44,7 @@ const (
 // rows follow row-major. unit 0 packs nothing: dst is a plain copy.
 // It returns the number of packed rows.
 func Pack[S float32 | float64](dst []S, src []float64, rows, cols, unit int) int {
-	packed := 0
-	if unit > 0 {
-		packed = rows - rows%unit
-	}
+	packed := PackedRows(rows, unit)
 	for u := 0; u < packed; u += unit {
 		blk := dst[u*cols : (u+unit)*cols]
 		for l := 0; l < unit; l++ {
@@ -56,4 +58,47 @@ func Pack[S float32 | float64](dst []S, src []float64, rows, cols, unit int) int
 		dst[packed*cols+i] = S(v)
 	}
 	return packed
+}
+
+// PackedRows is the number of rows Pack interleaves: every whole unit,
+// none when unit is 0.
+func PackedRows(rows, unit int) int {
+	if unit == 0 {
+		return 0
+	}
+	return rows - rows%unit
+}
+
+// PackEqual reports whether dst holds, bit for bit, what
+// Pack(dst, src, rows, cols, unit) would write: −0 differs from +0,
+// and NaNs match only with the same payload. It walks Pack's index
+// map, so a packed copy is checked against its row-major source in
+// place.
+func PackEqual[S float32 | float64](dst []S, src []float64, rows, cols, unit int) bool {
+	packed := PackedRows(rows, unit)
+	for u := 0; u < packed; u += unit {
+		blk := dst[u*cols : (u+unit)*cols]
+		for l := 0; l < unit; l++ {
+			row := src[(u+l)*cols : (u+l+1)*cols]
+			for i, v := range row {
+				if !sameBits(blk[i*unit+l], S(v)) {
+					return false
+				}
+			}
+		}
+	}
+	for i, v := range src[packed*cols : rows*cols] {
+		if !sameBits(dst[packed*cols+i], S(v)) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameBits compares two scalars' IEEE bit patterns.
+func sameBits[S float32 | float64](a, b S) bool {
+	if unsafe.Sizeof(a) == 8 {
+		return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
+	}
+	return math.Float32bits(float32(a)) == math.Float32bits(float32(b))
 }

@@ -28,11 +28,15 @@ type entry struct {
 
 // raw is the number of raw stream samples this entry advances the
 // pipeline by, shed debt included.
-func (e entry) raw() int {
+func (e entry) raw() int { return e.shedBefore + e.own() }
+
+// own is the entry's own raw samples: raw without the shed debt, which
+// ring.push counted as shed when it shed those samples.
+func (e entry) own() int {
 	if e.missing > 0 {
-		return e.shedBefore + e.missing
+		return e.missing
 	}
-	return e.shedBefore + 1
+	return 1
 }
 
 // ring is the fixed-capacity ingress queue. Not self-locking: the
@@ -58,7 +62,7 @@ func (r *ring) push(e entry) int {
 	shed := 0
 	if r.n == len(r.buf) {
 		old := r.buf[r.head]
-		shed = old.raw() - old.shedBefore
+		shed = old.own()
 		r.head = (r.head + 1) % len(r.buf)
 		r.n--
 		if r.n > 0 {

@@ -212,8 +212,10 @@ type Counters struct {
 	// Enqueued is raw samples accepted into the ingress ring
 	// (missing runs count their length).
 	Enqueued int64
-	// Shed is raw samples dropped by shed-oldest overflow plus
-	// samples rejected after the session was shed.
+	// Shed is raw samples the pipeline never saw, each counted once:
+	// those dropped by shed-oldest overflow, the failed entry and
+	// backlog dropped when the session is shed, and samples rejected
+	// after it closed or was shed.
 	Shed int64
 	// DeadlineMissed is decisions produced after their sample's
 	// deadline.
@@ -228,8 +230,10 @@ type Counters struct {
 	Restarts int64
 	// Snapshots is pipeline snapshots captured.
 	Snapshots int64
-	// OutboxDropped is evaluated (non-trigger) decisions that aged
-	// out of the outbox before a consumer drained them.
+	// OutboxDropped is evaluated decisions that aged out of the
+	// outbox before a consumer drained them, triggered or not. Only
+	// the first trigger is also latched for TakeTrigger, so it
+	// survives the outbox.
 	OutboxDropped int64
 }
 

@@ -376,6 +376,63 @@ func TestExhaustedRestartsShed(t *testing.T) {
 	checkLeak(t, leak)
 }
 
+// TestShedSessionCountsEachSampleOnce: when a session is shed, every
+// sample it accepted but never applied — the failing entry, the
+// backlog, and the debt ring.push already folded forward — is counted
+// in Shed exactly once. The hook holds the worker inside the first
+// entry while the ring overflows, then fails that entry and every
+// replay, so nothing is ever applied: Pos stays 0 and Shed must equal
+// Enqueued.
+func TestShedSessionCountsEachSampleOnce(t *testing.T) {
+	const push = 0 // a sample; n > 0 is PushMissing(n)
+	cases := []struct {
+		name     string
+		queueLen int
+		backlog  []int // pushed while the worker is held in the first entry
+		enq      int64
+	}{
+		{"no backlog", 2, nil, 1},
+		{"backlog with shed debt", 2, []int{push, push, push, push}, 5},
+		{"missing runs", 2, []int{3, push, 2}, 7},
+		{"single slot", 1, []int{push, push, push}, 4},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			leak := StartLeakCheck()
+			entered, release := make(chan struct{}), make(chan struct{})
+			held := false // only the worker goroutine calls the hook
+			rt := New(Config{QueueLen: tc.queueLen, MaxRestarts: 1, RestartBackoff: time.Microsecond,
+				PushHook: func(session int, pos uint64) {
+					if !held {
+						held = true
+						close(entered)
+						<-release
+					}
+					panic("persistent fault")
+				}})
+			s := rt.Open(&fakePipe{})
+			acc, gyro := sample(0)
+			s.Push(acc, gyro)
+			<-entered
+			for _, n := range tc.backlog {
+				if n == push {
+					s.Push(acc, gyro)
+				} else {
+					s.PushMissing(n)
+				}
+			}
+			close(release)
+			rt.Close()
+			c := s.Counters()
+			if s.State() != StateShed || c.Enqueued != tc.enq || c.Shed != tc.enq || s.Pos() != 0 {
+				t.Fatalf("state %v, Enqueued=%d Shed=%d Pos=%d; want shed, Enqueued=Shed=%d Pos=0",
+					s.State(), c.Enqueued, c.Shed, s.Pos(), tc.enq)
+			}
+			checkLeak(t, leak)
+		})
+	}
+}
+
 // TestBreakerDemotesAndRecovers drives decision latency with a
 // virtual clock: sustained p99 near the deadline must demote the tier
 // ceiling step by step, and recovery must promote back only after the

@@ -150,13 +150,15 @@ func (s *Session) run() {
 		s.mu.Lock()
 		s.busy = false
 		if !ok {
-			// Restarts exhausted: shed the session, drop the backlog.
+			// Restarts exhausted: shed the session, dropping the
+			// failed entry and the backlog. Their shed debt was
+			// counted when ring.push shed it.
 			s.setState(StateShed)
 			s.closing = true
 			s.done = true
-			dropped := 0
+			dropped := e.own()
 			for s.q.n > 0 {
-				dropped += s.q.pop().raw()
+				dropped += s.q.pop().own()
 			}
 			s.shedN.Add(int64(dropped))
 			s.idle.Broadcast()

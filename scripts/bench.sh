@@ -119,6 +119,9 @@ BEGIN {
     zero["Benchmark_Edge_StreamingPushCNN_F32"] = 1
     zero["Benchmark_Cascade_PushPrimary_F32"] = 1
     zero["Benchmark_Serve_SessionPush_F32"] = 1
+    # Sixteen detectors of one model pushed round-robin: the shared
+    # weight copy must not cost an allocation either.
+    zero["Benchmark_Edge_StreamingPushCNN_Fleet16"] = 1
     # Headline gates: optimisations the engine must not silently lose.
     # The incremental conv/pool rings bought >4x over batch rescoring;
     # fail if the margin erodes below 3x even while ns/op stays within
