@@ -146,7 +146,7 @@ func AppendEnvelopeDType(dst []byte, kind string, shape []int, dt DType, payload
 // anywhere in the stream yields a non-nil error and a nil payload.
 func Read(r io.Reader) (Header, []byte, error) {
 	var h Header
-	raw, err := io.ReadAll(io.LimitReader(r, MaxBytes+1))
+	raw, err := readEnvelope(r)
 	if err != nil {
 		return h, nil, fmt.Errorf("artifact: reading envelope: %w", err)
 	}
@@ -238,8 +238,38 @@ func Read(r io.Reader) (Header, []byte, error) {
 	if !bytes.Equal(sum[:], want) {
 		return h, nil, fmt.Errorf("artifact: SHA-256 digest mismatch (corrupt or tampered image)")
 	}
-	// Return a copy so the caller cannot alias the (verified) raw buffer.
-	return h, append([]byte(nil), payload...), nil
+	// raw never leaves Read, so the payload is handed out in place; the
+	// capped slice keeps an append by the caller off the digest bytes.
+	return h, payload[:payloadLen:payloadLen], nil
+}
+
+// readEnvelope reads r to EOF, stopping one byte past MaxBytes so the
+// caller can reject an oversized stream. A reader that reports its
+// remaining length (bytes.Reader, bytes.Buffer, strings.Reader) gets
+// one buffer of that size plus the byte the final EOF read needs,
+// instead of io.ReadAll's doubling from 512 bytes. Len only sizes the
+// first buffer: a reader whose Len is wrong is still read exactly, to
+// EOF or to the limit.
+func readEnvelope(r io.Reader) ([]byte, error) {
+	size := 512
+	if l, ok := r.(interface{ Len() int }); ok {
+		size = min(max(l.Len(), 0), MaxBytes) + 1
+	}
+	buf := make([]byte, 0, size)
+	lr := io.LimitReader(r, MaxBytes+1)
+	for {
+		n, err := lr.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
 }
 
 // CheckKind is a load-time helper: it rejects an envelope whose kind

@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
@@ -135,5 +136,77 @@ func TestHostileLengthFields(t *testing.T) {
 		if _, _, err := Read(bytes.NewReader(mut)); err == nil {
 			t.Fatal("hostile payload length accepted")
 		}
+	}
+}
+
+// lenReader reports a fixed, possibly wrong, remaining length.
+type lenReader struct {
+	io.Reader
+	n int
+}
+
+func (l lenReader) Len() int { return l.n }
+
+// A reader's Len only sizes Read's first buffer: whatever it reports,
+// a valid envelope must come back exactly and every truncation must
+// still be rejected.
+func TestReadLenHintMayLie(t *testing.T) {
+	payload := bytes.Repeat([]byte("payload bytes "), 100)
+	raw := mustWrite(t, "qnet-int8", []int{40, 9}, payload)
+	for _, n := range []int{-5, 0, 1, len(raw) - 1, len(raw), len(raw) + 1, 10 * len(raw), MaxBytes + 7} {
+		h, got, err := Read(lenReader{bytes.NewReader(raw), n})
+		if err != nil {
+			t.Fatalf("Len %d: %v", n, err)
+		}
+		if h.Kind != "qnet-int8" || !bytes.Equal(got, payload) {
+			t.Fatalf("Len %d: header %+v, payload of %d bytes", n, h, len(got))
+		}
+		for _, cut := range []int{0, len(raw) / 2, len(raw) - 1} {
+			if _, _, err := Read(lenReader{bytes.NewReader(raw[:cut]), n}); err == nil {
+				t.Fatalf("Len %d: truncation to %d/%d bytes accepted", n, cut, len(raw))
+			}
+		}
+	}
+}
+
+// zeros streams n zero bytes without holding them.
+type zeros struct{ n int }
+
+func (z *zeros) Read(p []byte) (int, error) {
+	if z.n == 0 {
+		return 0, io.EOF
+	}
+	k := min(len(p), z.n)
+	clear(p[:k])
+	z.n -= k
+	return k, nil
+}
+
+func (z *zeros) Len() int { return z.n }
+
+// A stream one byte over MaxBytes is rejected whether or not its
+// reader reports the length.
+func TestReadRejectsOversize(t *testing.T) {
+	for _, hint := range []bool{true, false} {
+		var r io.Reader = &zeros{MaxBytes + 1}
+		if !hint {
+			r = io.MultiReader(r) // hides Len
+		}
+		if _, _, err := Read(r); err == nil || !strings.Contains(err.Error(), "exceeds MaxBytes") {
+			t.Fatalf("hint %v: oversize stream gave %v", hint, err)
+		}
+	}
+}
+
+// The returned payload is capped: appending to it cannot reach bytes
+// Read verified after it.
+func TestReadPayloadCapped(t *testing.T) {
+	raw := mustWrite(t, "k", nil, []byte("abc"))
+	_, got, err := Read(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("payload len %d cap %d", len(got), cap(got))
 	}
 }

@@ -155,10 +155,11 @@ var hotpathCoverage = map[string]string{
 
 	// Across-output dispatch (DESIGN §12.7): the streamer's packed
 	// weight copies into the AVX kernels, leftover rows into the
-	// blocked kernels above.
+	// blocked kernels above, and the pool fold into the AVX max.
 	"internal/nn.matOf.apply":      streamAlloc,
 	"internal/nn.matOf.apply2ReLU": streamAlloc,
 	"internal/nn.packedF64":        streamAlloc,
+	"internal/nn.maxInto":          streamAlloc,
 
 	// Incremental inference engine: the per-sample push path and the
 	// per-stride scoring path of nn.Streamer.

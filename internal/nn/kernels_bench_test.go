@@ -16,10 +16,21 @@ import (
 //	HeadSparse  Dense(864→64) on a ReLU-fed input, a quarter zeros
 //	HeadDense   Dense(864→64) on an input with no zeros
 //	ConvPair    two 16-filter conv rows over 5×3 windows, ReLU-fused
+//	ConvPool    ConvPair plus the pool-2 fold of the two rows, over a
+//	            ring of distinct windows; the _Ref is the scalar
+//	            kernel, reluClamp and the `>` loop
+//
+// ConvPair replays one input, so the branch predictor learns the sign
+// pattern of its outputs and a branchy clamp looks cheaper there than
+// it is on a live stream. ConvPool slides over benchPoolRing windows
+// of one random stream, as the streamer's conv rows do, which no
+// predictor memorises.
 
 const (
 	benchHeadRows, benchHeadCols = 64, 864
 	benchConvRows, benchConvCols = 16, 15
+	benchConvKernel, benchConvIn = 5, 3
+	benchPoolRing                = 256 // a power of two: the ring index is a mask
 )
 
 // kernelBench holds one shape's data at both widths.
@@ -105,5 +116,67 @@ func Benchmark_Kernel_ConvPair_F32_Ref(b *testing.B) {
 		simd.MatVecBias2F32Ref(k.out32, k.out32B, k.xa32, k.xb32, k.w32, k.b32, k.rows, k.cols)
 		reluClamp(k.out32)
 		reluClamp(k.out32B)
+	})
+}
+
+// convPoolBench is benchConv's shape over a ring of distinct windows:
+// window j is rows j..j+4 of one random 3-channel stream.
+type convPoolBench struct {
+	*kernelBench
+	stream   []float64
+	stream32 []float32
+	rmax     []float64
+	rmax32   []float32
+}
+
+func benchConvPool(b *testing.B, f func(k *convPoolBench, xa, xb int)) {
+	k := &convPoolBench{kernelBench: newKernelBench(b, benchConvRows, benchConvCols, 0)}
+	rng := rand.New(rand.NewSource(6))
+	k.stream = make([]float64, (benchPoolRing+benchConvKernel)*benchConvIn)
+	for i := range k.stream {
+		k.stream[i] = rng.NormFloat64()
+	}
+	k.stream32 = lower32(k.stream)
+	k.rmax, k.rmax32 = make([]float64, benchConvRows), make([]float32, benchConvRows)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := 2 * i & (benchPoolRing - 1)
+		f(k, j*benchConvIn, (j+1)*benchConvIn)
+	}
+}
+
+func Benchmark_Kernel_ConvPool_F64(b *testing.B) {
+	benchConvPool(b, func(k *convPoolBench, xa, xb int) {
+		k.m64.apply2ReLU(k.out, k.outB, k.stream[xa:xa+benchConvCols], k.stream[xb:xb+benchConvCols])
+		copy(k.rmax, k.out)
+		maxInto(k.rmax, k.outB)
+	})
+}
+
+func Benchmark_Kernel_ConvPool_F64_Ref(b *testing.B) {
+	benchConvPool(b, func(k *convPoolBench, xa, xb int) {
+		matVecBias2(k.out, k.outB, k.stream[xa:xa+benchConvCols], k.stream[xb:xb+benchConvCols], k.w, k.b, k.rows, k.cols)
+		reluClamp(k.out)
+		reluClamp(k.outB)
+		copy(k.rmax, k.out)
+		simd.MaxRef(k.rmax, k.outB)
+	})
+}
+
+func Benchmark_Kernel_ConvPool_F32(b *testing.B) {
+	benchConvPool(b, func(k *convPoolBench, xa, xb int) {
+		k.m32.apply2ReLU(k.out32, k.out32B, k.stream32[xa:xa+benchConvCols], k.stream32[xb:xb+benchConvCols])
+		copy(k.rmax32, k.out32)
+		maxInto(k.rmax32, k.out32B)
+	})
+}
+
+func Benchmark_Kernel_ConvPool_F32_Ref(b *testing.B) {
+	benchConvPool(b, func(k *convPoolBench, xa, xb int) {
+		simd.MatVecBias2F32Ref(k.out32, k.out32B, k.stream32[xa:xa+benchConvCols], k.stream32[xb:xb+benchConvCols], k.w32, k.b32, k.rows, k.cols)
+		reluClamp(k.out32)
+		reluClamp(k.out32B)
+		copy(k.rmax32, k.out32)
+		simd.MaxRef(k.rmax32, k.out32B)
 	})
 }

@@ -69,6 +69,8 @@ func TestMatVecBias2F32AsmMatchesRef(t *testing.T) {
 		wb := make([]float32, rows)
 		simd.PackedNarrow2F32(ga, gb, xa, xb, packF32(w, rows, sh.cols), b, rows, sh.cols)
 		simd.MatVecBias2F32Ref(wa, wb, xa, xb, w, b, rows, sh.cols)
+		reluClamp(wa) // the pair kernel clamps in register
+		reluClamp(wb)
 		for o := range wa {
 			if math.Float32bits(ga[o]) != math.Float32bits(wa[o]) ||
 				math.Float32bits(gb[o]) != math.Float32bits(wb[o]) {
@@ -95,7 +97,8 @@ func packF32(w []float32, rows, cols int) []float32 {
 // the pair kernel must equal two single-kernel calls bit-for-bit, so
 // a conv row scored alone at a stride matches the same row scored as
 // half of a pair. The two sides are different assembly: the
-// across-output pair against the across-column single.
+// across-output pair (which always ReLU-clamps) against the
+// across-column single followed by reluClamp.
 func TestMatVecBias2F32MatchesSingle(t *testing.T) {
 	if !simd.HasAVX() {
 		t.Skip("the f32 pair kernel is the AVX across-output PackedNarrow2F32")
@@ -117,6 +120,8 @@ func TestMatVecBias2F32MatchesSingle(t *testing.T) {
 		simd.PackedNarrow2F32(pa, pb, xa, xb, packF32(w, rows, sh.cols), b, rows, sh.cols)
 		simd.MatVecBiasF32(sa, xa, w, b, rows, sh.cols)
 		simd.MatVecBiasF32(sb, xb, w, b, rows, sh.cols)
+		reluClamp(sa) // the pair kernel clamps in register
+		reluClamp(sb)
 		for o := range sa {
 			if math.Float32bits(pa[o]) != math.Float32bits(sa[o]) ||
 				math.Float32bits(pb[o]) != math.Float32bits(sb[o]) {

@@ -22,8 +22,9 @@ import (
 // the streamer is tested against.
 
 // useAVX gates the packed layout: without AVX the streamer packs
-// nothing and every call takes the scalar kernels. It is read at
-// streamer construction only.
+// nothing and every call takes the scalar kernels. The layout reads it
+// at streamer construction only; maxInto reads it per call, which
+// picks speed, never values.
 var useAVX = simd.HasAVX()
 
 // matOf is one matrix-vector step's parameters at width S: a
@@ -167,20 +168,18 @@ func bitsHash(h uint64, v []float64) uint64 {
 }
 
 // apply computes dst = W·x + b, clamped by ReLU's NaN-preserving rule
-// when relu is set.
+// when relu is set: the packed kernels clamp in register before their
+// stores, the row-major leftover rows through matVecBiasReLU.
 //
 //fallvet:hotpath
 func (m *matOf[S]) apply(dst, x []S, relu bool) {
 	w, b, rows, cols := m.w, m.b, m.rows, m.cols
 	if p := m.packed; p > 0 {
 		if tensor.Is64[S]() {
-			packedF64(f64s(dst), f64s(x), f64s(w), f64s(b), p, cols)
+			packedF64(f64s(dst), f64s(x), f64s(w), f64s(b), p, cols, relu)
 		} else {
 			//fallvet:ignore hottrans simd.PackedNarrowF32 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
-			simd.PackedNarrowF32(f32s(dst), f32s(x), f32s(w), f32s(b), p, cols)
-		}
-		if relu {
-			reluClamp(dst[:p])
+			simd.PackedNarrowF32(f32s(dst), f32s(x), f32s(w), f32s(b), p, cols, relu)
 		}
 		if p == rows {
 			return
@@ -196,7 +195,7 @@ func (m *matOf[S]) apply(dst, x []S, relu bool) {
 
 // apply2ReLU computes two ReLU-clamped rows da = W·xa + b and
 // db = W·xb + b with one read of the weights (narrow matrices only,
-// as matVecBias2ReLU).
+// as matVecBias2ReLU). The packed pair kernels always clamp.
 //
 //fallvet:hotpath
 func (m *matOf[S]) apply2ReLU(da, db, xa, xb []S) {
@@ -209,8 +208,6 @@ func (m *matOf[S]) apply2ReLU(da, db, xa, xb []S) {
 			//fallvet:ignore hottrans simd.PackedNarrow2F32 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
 			simd.PackedNarrow2F32(f32s(da), f32s(db), f32s(xa), f32s(xb), f32s(w), f32s(b), p, cols)
 		}
-		reluClamp(da[:p])
-		reluClamp(db[:p])
 		if p == rows {
 			return
 		}
@@ -224,28 +221,31 @@ func (m *matOf[S]) apply2ReLU(da, db, xa, xb []S) {
 // otherwise sparse or wide dense by matVecBiasWide's zero-count rule.
 //
 //fallvet:hotpath
-func packedF64(dst, x, w, b []float64, rows, cols int) {
+func packedF64(dst, x, w, b []float64, rows, cols int, relu bool) {
 	if cols < 32 {
 		//fallvet:ignore hottrans simd.PackedNarrowF64 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
-		simd.PackedNarrowF64(dst, x, w, b, rows, cols)
+		simd.PackedNarrowF64(dst, x, w, b, rows, cols, relu)
 		return
 	}
 	if cols <= maxSparseCols {
 		var nz [maxSparseCols]int32
 		if n := nonzeros(nz[:], x[:cols]); n <= cols-cols/8 {
 			//fallvet:ignore hottrans simd.PackedSparseF64 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
-			simd.PackedSparseF64(dst, x, w, b, nz[:n], rows, cols)
+			simd.PackedSparseF64(dst, x, w, b, nz[:n], rows, cols, relu)
 			return
 		}
 	}
 	//fallvet:ignore hottrans simd.PackedWideF64 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
-	simd.PackedWideF64(dst, x, w, b, rows, cols)
+	simd.PackedWideF64(dst, x, w, b, rows, cols, relu)
 }
 
 // reluClamp applies ReLU's clamp in place: v ≤ 0 becomes 0, and NaN
-// propagates because the comparison is false. The clamp stays in Go
-// rather than the assembly because MAXPS/MAXPD would resolve NaN to
-// the source operand and silently flush poisoned sums to zero.
+// propagates because the comparison is false. It clamps the rows the
+// packed kernels do not cover (the non-AVX route, the f32 wide head);
+// the packed kernels clamp in register with the same rule, by an
+// ordered v ≤ 0 compare and an and-not (simd's packed_amd64.s), never
+// by MAXPx, which would resolve NaN to its second operand and flush
+// poisoned sums to zero.
 //
 //fallvet:hotpath
 func reluClamp[S tensor.Scalar](d []S) {
@@ -253,6 +253,26 @@ func reluClamp[S tensor.Scalar](d []S) {
 		if v <= 0 {
 			d[i] = 0
 		}
+	}
+}
+
+// maxInto folds src into the running max dst: dst[i] = src[i] where
+// src[i] > dst[i] (simd.MaxRef's strict rule, MaxPool1D's scan: NaN on
+// either side and the ±0 tie keep dst). With AVX it is one vector max
+// per four f64 or eight f32 lanes instead of a data-dependent branch
+// per element.
+//
+//fallvet:hotpath
+func maxInto[S tensor.Scalar](dst, src []S) {
+	switch {
+	case !useAVX:
+		simd.MaxRef(dst, src)
+	case tensor.Is64[S]():
+		//fallvet:ignore hottrans simd.MaxF64 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
+		simd.MaxF64(f64s(dst), f64s(src))
+	default:
+		//fallvet:ignore hottrans simd.MaxF32 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
+		simd.MaxF32(f32s(dst), f32s(src))
 	}
 }
 

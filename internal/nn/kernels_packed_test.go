@@ -312,8 +312,9 @@ func streamerSnapshotsWeights[S tensor.Scalar](t *testing.T) {
 
 // TestStreamerPackedMatchesScalar drives the paper's 16-filter CNN and
 // the 8-filter distilled student through streamers built with the
-// packed layout and without it; every score must agree bit for bit at
-// both widths, and at f64 also with the batch path.
+// packed layout and without it (the latter also pooling through the
+// Go fold); every score must agree bit for bit at both widths, and at
+// f64 also with the batch path.
 func TestStreamerPackedMatchesScalar(t *testing.T) {
 	if !simd.HasAVX() {
 		t.Skip("CPU lacks AVX: only the scalar route exists")
@@ -343,6 +344,14 @@ func streamerPackedMatchesScalar[S tensor.Scalar](t *testing.T, filters int) {
 		return st
 	}
 	packed, scalar := build(true), build(false)
+	// The scalar streamer also pools through the Go fold: maxInto
+	// reads useAVX per call.
+	scalarDo := func(f func()) {
+		saved := useAVX
+		useAVX = false
+		defer func() { useAVX = saved }()
+		f()
+	}
 	var rows [][]float64
 	row := make([]S, inCh)
 	compared := 0
@@ -353,11 +362,13 @@ func streamerPackedMatchesScalar[S tensor.Scalar](t *testing.T, filters int) {
 			row[c] = S(v)
 		}
 		packed.Push(row)
-		scalar.Push(row)
+		scalarDo(func() { scalar.Push(row) })
 		if len(rows) < window || (len(rows)-window)%step != 0 {
 			continue
 		}
-		got, want := packed.Score(), scalar.Score()
+		var want float64
+		got := packed.Score()
+		scalarDo(func() { want = scalar.Score() })
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("row %d: packed %v, scalar %v", len(rows), got, want)
 		}

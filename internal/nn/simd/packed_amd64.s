@@ -5,22 +5,34 @@
 // portable kernel for its row — the same products, the same adds, the
 // same operand order — so the results match bit for bit. VMULPx and
 // VADDPx only: no FMA, whose skipped product rounding the scalar
-// kernels never skip. No ReLU either: the NaN-preserving clamp stays
-// in Go. Leaf functions, no stack frame, nothing escapes.
+// kernels never skip. The ReLU clamp runs in-register before the
+// stores (single kernels when relu is set, pair kernels always):
+// VCMPPx with predicate LE_OQ (0x12) against zero marks every lane
+// holding v ≤ 0, −0 included, and VANDNPx clears exactly those lanes
+// to +0. The ordered compare is false for NaN, so a poisoned sum keeps
+// its payload, as in nn's Go clamp; MAXPx would instead return its
+// second operand and flush it. Leaf functions, no stack frame,
+// nothing escapes.
 
 #include "textflag.h"
 
-// func PackedNarrowF64(dst, x, w, b []float64, rows, cols int)
+// RELU_PD(v, z, m) and RELU_PS clamp v in place: m marks the lanes
+// with v ≤ z (LE_OQ; z holds zero), which the and-not clears to +0.
+#define RELU_PD(v, z, m) VCMPPD $0x12, z, v, m; VANDNPD v, m, v
+#define RELU_PS(v, z, m) VCMPPS $0x12, z, v, m; VANDNPS v, m, v
+
+// func PackedNarrowF64(dst, x, w, b []float64, rows, cols int, relu bool)
 //
 // Per output: bias, then (p0+p1) column pairs ascending, then a
 // single trailing column. Y0..Y3 hold the unit's 16 outputs.
-TEXT ·PackedNarrowF64(SB), NOSPLIT, $0-112
-	MOVQ dst_base+0(FP), DI
-	MOVQ x_base+24(FP), SI
-	MOVQ w_base+48(FP), DX
-	MOVQ b_base+72(FP), BX
-	MOVQ rows+96(FP), R8
-	MOVQ cols+104(FP), R9
+TEXT ·PackedNarrowF64(SB), NOSPLIT, $0-113
+	MOVQ    dst_base+0(FP), DI
+	MOVQ    x_base+24(FP), SI
+	MOVQ    w_base+48(FP), DX
+	MOVQ    b_base+72(FP), BX
+	MOVQ    rows+96(FP), R8
+	MOVQ    cols+104(FP), R9
+	MOVBLZX relu+112(FP), R14
 	MOVQ R9, R10
 	ANDQ $-2, R10 // pair limit
 
@@ -74,6 +86,15 @@ n64_rem:
 	ADDQ         $128, DX
 
 n64_store:
+	TESTL    R14, R14
+	JEQ      n64_put
+	VXORPD   Y15, Y15, Y15
+	RELU_PD(Y0, Y15, Y4)
+	RELU_PD(Y1, Y15, Y5)
+	RELU_PD(Y2, Y15, Y6)
+	RELU_PD(Y3, Y15, Y7)
+
+n64_put:
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y2, 64(DI)
@@ -90,7 +111,8 @@ n64_done:
 // func PackedNarrow2F64(da, db, xa, xb, w, b []float64, rows, cols int)
 //
 // Two windows against one packed matrix, each in PackedNarrowF64's
-// order: Y0..Y3 accumulate window a, Y4..Y7 window b.
+// order: Y0..Y3 accumulate window a, Y4..Y7 window b. Both rows are
+// always ReLU-clamped: the pair only ever computes conv rows.
 TEXT ·PackedNarrow2F64(SB), NOSPLIT, $0-160
 	MOVQ da_base+0(FP), DI
 	MOVQ db_base+24(FP), R12
@@ -189,6 +211,15 @@ n264_rem:
 	ADDQ         $128, DX
 
 n264_store:
+	VXORPD  Y15, Y15, Y15
+	RELU_PD(Y0, Y15, Y8)
+	RELU_PD(Y1, Y15, Y9)
+	RELU_PD(Y2, Y15, Y10)
+	RELU_PD(Y3, Y15, Y11)
+	RELU_PD(Y4, Y15, Y12)
+	RELU_PD(Y5, Y15, Y13)
+	RELU_PD(Y6, Y15, Y14)
+	RELU_PD(Y7, Y15, Y8)
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y2, 64(DI)
@@ -207,17 +238,18 @@ n264_done:
 	VZEROUPPER
 	RET
 
-// func PackedWideF64(dst, x, w, b []float64, rows, cols int)
+// func PackedWideF64(dst, x, w, b []float64, rows, cols int, relu bool)
 //
 // Per output: bias, then ((p0+p1)+(p2+p3)) four-column groups
 // ascending, then the trailing columns singly.
-TEXT ·PackedWideF64(SB), NOSPLIT, $0-112
-	MOVQ dst_base+0(FP), DI
-	MOVQ x_base+24(FP), SI
-	MOVQ w_base+48(FP), DX
-	MOVQ b_base+72(FP), BX
-	MOVQ rows+96(FP), R8
-	MOVQ cols+104(FP), R9
+TEXT ·PackedWideF64(SB), NOSPLIT, $0-113
+	MOVQ    dst_base+0(FP), DI
+	MOVQ    x_base+24(FP), SI
+	MOVQ    w_base+48(FP), DX
+	MOVQ    b_base+72(FP), BX
+	MOVQ    rows+96(FP), R8
+	MOVQ    cols+104(FP), R9
+	MOVBLZX relu+112(FP), R14
 	MOVQ R9, R10
 	ANDQ $-4, R10 // group limit
 
@@ -296,6 +328,15 @@ w64_rem:
 	JMP          w64_rem
 
 w64_store:
+	TESTL   R14, R14
+	JEQ     w64_put
+	VXORPD  Y15, Y15, Y15
+	RELU_PD(Y0, Y15, Y4)
+	RELU_PD(Y1, Y15, Y5)
+	RELU_PD(Y2, Y15, Y6)
+	RELU_PD(Y3, Y15, Y7)
+
+w64_put:
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y2, 64(DI)
@@ -309,21 +350,22 @@ w64_done:
 	VZEROUPPER
 	RET
 
-// func PackedSparseF64(dst, x, w, b []float64, nz []int32, rows, cols int)
+// func PackedSparseF64(dst, x, w, b []float64, nz []int32, rows, cols int, relu bool)
 //
 // Per output: bias, then one product per listed column, ascending.
 // A listed column's 16 unit weights are one 128-byte run, so a
 // skipped column costs no memory traffic at all.
-TEXT ·PackedSparseF64(SB), NOSPLIT, $0-136
-	MOVQ dst_base+0(FP), DI
-	MOVQ x_base+24(FP), SI
-	MOVQ w_base+48(FP), DX
-	MOVQ b_base+72(FP), BX
-	MOVQ nz_base+96(FP), R10
-	MOVQ nz_len+104(FP), R12
-	MOVQ rows+120(FP), R8
-	MOVQ cols+128(FP), R13
-	SHLQ $7, R13 // bytes per packed unit: cols × 16 × 8
+TEXT ·PackedSparseF64(SB), NOSPLIT, $0-137
+	MOVQ    dst_base+0(FP), DI
+	MOVQ    x_base+24(FP), SI
+	MOVQ    w_base+48(FP), DX
+	MOVQ    b_base+72(FP), BX
+	MOVQ    nz_base+96(FP), R10
+	MOVQ    nz_len+104(FP), R12
+	MOVQ    rows+120(FP), R8
+	MOVQ    cols+128(FP), R13
+	MOVBLZX relu+136(FP), R14
+	SHLQ    $7, R13 // bytes per packed unit: cols × 16 × 8
 
 	TESTQ R8, R8
 	JLE   s64_done
@@ -353,6 +395,15 @@ s64_col:
 	JMP          s64_col
 
 s64_store:
+	TESTL   R14, R14
+	JEQ     s64_put
+	VXORPD  Y15, Y15, Y15
+	RELU_PD(Y0, Y15, Y4)
+	RELU_PD(Y1, Y15, Y5)
+	RELU_PD(Y2, Y15, Y6)
+	RELU_PD(Y3, Y15, Y7)
+
+s64_put:
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y2, 64(DI)
@@ -367,18 +418,19 @@ s64_done:
 	VZEROUPPER
 	RET
 
-// func PackedNarrowF32(dst, x, w, b []float32, rows, cols int)
+// func PackedNarrowF32(dst, x, w, b []float32, rows, cols int, relu bool)
 //
 // MatVecBiasF32Ref's narrow order per output: four partial sums
 // q0..q3 (Y0..Y3, one per column lane of a 4-column block), combined
 // as (q0+q2)+(q1+q3), then + bias, then the trailing columns singly.
-TEXT ·PackedNarrowF32(SB), NOSPLIT, $0-112
-	MOVQ dst_base+0(FP), DI
-	MOVQ x_base+24(FP), SI
-	MOVQ w_base+48(FP), DX
-	MOVQ b_base+72(FP), BX
-	MOVQ rows+96(FP), R8
-	MOVQ cols+104(FP), R9
+TEXT ·PackedNarrowF32(SB), NOSPLIT, $0-113
+	MOVQ    dst_base+0(FP), DI
+	MOVQ    x_base+24(FP), SI
+	MOVQ    w_base+48(FP), DX
+	MOVQ    b_base+72(FP), BX
+	MOVQ    rows+96(FP), R8
+	MOVQ    cols+104(FP), R9
+	MOVBLZX relu+112(FP), R14
 	MOVQ R9, R10
 	ANDQ $-4, R10 // block limit
 
@@ -428,6 +480,12 @@ n32_rem:
 	JMP          n32_rem
 
 n32_store:
+	TESTL   R14, R14
+	JEQ     n32_put
+	VXORPS  Y15, Y15, Y15
+	RELU_PS(Y0, Y15, Y4)
+
+n32_put:
 	VMOVUPS Y0, (DI)
 	ADDQ    $32, DI
 	ADDQ    $32, BX
@@ -442,6 +500,7 @@ n32_done:
 //
 // Two windows in PackedNarrowF32's order: Y0..Y3 are window a's
 // partial sums, Y4..Y7 window b's; each weight vector loads once.
+// Both rows are always ReLU-clamped, as in PackedNarrow2F64.
 TEXT ·PackedNarrow2F32(SB), NOSPLIT, $0-160
 	MOVQ da_base+0(FP), DI
 	MOVQ db_base+24(FP), R12
@@ -529,6 +588,9 @@ n232_rem:
 	JMP          n232_rem
 
 n232_store:
+	VXORPS  Y15, Y15, Y15
+	RELU_PS(Y0, Y15, Y8)
+	RELU_PS(Y4, Y15, Y9)
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y4, (R12)
 	ADDQ    $32, DI

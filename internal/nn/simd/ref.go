@@ -3,9 +3,10 @@
 // that defines the exact f32 summation order (asm and reference must
 // match bit-for-bit, TestMatVecBiasF32AsmMatchesRef), and the AVX
 // across-output Packed kernels (packed.go), which reproduce the
-// frozen float64 order and the f32 narrow order lane by lane. On
-// !amd64 the reference is the implementation, so f32 results are
-// identical across architectures by construction.
+// frozen float64 order and the f32 narrow order lane by lane and
+// ReLU-clamp in register, and the running-max fold of the streamer's
+// pooling (max.go). On !amd64 the references are the implementation,
+// so f32 results are identical across architectures by construction.
 //
 // The kernels live in their own package deliberately. An assembly
 // file inside package nn itself measurably perturbed the code layout

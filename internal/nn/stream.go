@@ -577,11 +577,7 @@ func (b *branchStreamOf[S]) absorb(s *StreamerOf[S], orow []S, a int) {
 	if b.phase == 0 {
 		copy(rmax, orow)
 	} else {
-		for f, v := range orow {
-			if v > rmax[f] {
-				rmax[f] = v
-			}
-		}
+		maxInto(rmax, orow)
 	}
 	b.phase++
 	if b.phase == b.pool {
@@ -682,20 +678,24 @@ func (s *StreamerOf[S]) runHead(cur []S) S {
 
 // gather copies the window's pooled rows (plus the partial tail, if
 // the conv length is not a pool multiple) into dst. The divisions
-// here run once per decision, not per sample.
+// here run once per decision, not per sample. A window whose conv
+// output is shorter than one pool block has no pooled rows at all,
+// only the tail.
 //
 //fallvet:hotpath
 func (b *branchStreamOf[S]) gather(dst []S, start int) {
 	F := b.filters
-	slot := (start / b.pool) % b.fullPool
 	n := 0
-	for q := 0; q < b.fullPool; q++ {
-		p := slot * F
-		copy(dst[n:n+F], b.poolRing[p:p+F])
-		n += F
-		slot++
-		if slot == b.fullPool {
-			slot = 0
+	if b.fullPool > 0 {
+		slot := (start / b.pool) % b.fullPool
+		for q := 0; q < b.fullPool; q++ {
+			p := slot * F
+			copy(dst[n:n+F], b.poolRing[p:p+F])
+			n += F
+			slot++
+			if slot == b.fullPool {
+				slot = 0
+			}
 		}
 	}
 	if b.tailLo < b.convT {
@@ -706,12 +706,7 @@ func (b *branchStreamOf[S]) gather(dst []S, start int) {
 			if cs == b.convT {
 				cs = 0
 			}
-			row := b.convRing[cs*F : cs*F+F]
-			for f, v := range row {
-				if v > dst[n+f] {
-					dst[n+f] = v
-				}
-			}
+			maxInto(dst[n:n+F], b.convRing[cs*F:cs*F+F])
 		}
 	}
 }
@@ -801,11 +796,7 @@ func (b *branchStreamOf[S]) fusedAbsorb(dst, crow []S, phase, n int) (int, int) 
 	if phase == 0 {
 		copy(seg, crow)
 	} else {
-		for f, v := range crow {
-			if v > seg[f] {
-				seg[f] = v
-			}
-		}
+		maxInto(seg, crow)
 	}
 	phase++
 	if phase == b.pool {

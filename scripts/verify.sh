@@ -5,7 +5,10 @@
 #
 # Gates, in order of increasing cost:
 #   1. go build ./...        — everything compiles
-#   2. go vet ./...          — static analysis clean
+#   2. go vet ./...          — static analysis clean, twice: natively,
+#      and as GOARCH=arm64, which builds the portable simd_noasm.go in
+#      place of the amd64 assembly, so its stubs must keep every asm
+#      signature (works offline: vet needs no cross toolchain)
 #   3. fallvet ./...         — the repo's own invariant linter
 #      (DESIGN.md §9 + §13): determinism, hotpath, hottrans,
 #      checkedio, redorder, snapshot, exhaustive, floatdet. Built
@@ -68,6 +71,8 @@ echo "== go build ./..."
 go build ./...
 echo "== go vet ./..."
 go vet ./...
+echo "== GOARCH=arm64 go vet ./..."
+GOARCH=arm64 go vet ./...
 echo "== fallvet -diff ./..."
 go build -o bin/fallvet ./cmd/fallvet
 ./bin/fallvet -baseline fallvet_baseline.json -diff ./...
