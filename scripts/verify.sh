@@ -32,7 +32,10 @@
 #      FuzzIncrementalScore (the incremental inference engine must be
 #      bit-identical to full-window batch rescoring on arbitrary
 #      streams of wear, faults and gaps — the DESIGN §12 equivalence
-#      oracle)
+#      oracle), and FuzzServeSession (the serving runtime against a
+#      single-goroutine model of its ring, outbox and counters under
+#      arbitrary programs of pushes, bursts past the ring, panics,
+#      crash loops, quiesces, drains, closes and clock advances)
 #   7. precision agreement   — the float32 path must agree with the
 #      float64 path: the decision-agreement tests run the full
 #      fault-injection sweep at both widths by name, and
@@ -88,6 +91,8 @@ echo "== fuzz smoke: FuzzCascadePush (10s)"
 go test ./internal/cascade -run='^$' -fuzz='^FuzzCascadePush$' -fuzztime=10s
 echo "== fuzz smoke: FuzzIncrementalScore (10s)"
 go test ./internal/edge -run='^$' -fuzz='^FuzzIncrementalScore$' -fuzztime=10s
+echo "== fuzz smoke: FuzzServeSession (10s)"
+go test ./internal/serve -run='^$' -fuzz='^FuzzServeSession$' -fuzztime=10s
 echo "== precision agreement: f32 vs f64 decision sweep"
 go test ./falldet -count=1 -run='^Test(Cascade)?PrecisionDecisionAgreement$' -v
 echo "== fuzz smoke: FuzzPrecisionScore (10s)"
