@@ -644,6 +644,58 @@ func Benchmark_Serve_SessionPush(b *testing.B) { benchServePush(b, 0) }
 
 func Benchmark_Serve_SessionPushSnapshot(b *testing.B) { benchServePush(b, 256) }
 
+// benchServePushCNN measures one sample through the served path into
+// the real three-tier CNN cascade (CNN primary, accel-only CNN
+// fallback, threshold floor) at width S, at the paper's cadence: each
+// sample is pushed and then quiesced, as a lock-step client waits for
+// every packet's decision. The Quiesce caller drains the ring itself,
+// so this row is the caller-runs hand-off plus a served CNN decision
+// every stride. The supervisor is warmed to the primary tier first.
+// Steady state must stay at 0 allocs/op and 0 B/op.
+func benchServePushCNN[S tensor.Scalar](b *testing.B) {
+	rng := rand.New(rand.NewSource(51))
+	primary, err := model.New(model.KindCNN, model.Config{WindowSamples: 40}, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fallback, err := model.New(model.KindCNNAccel, model.Config{WindowSamples: 40}, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := cascade.NewOf[S](primary, fallback, cascade.Config{WindowMS: 400, Overlap: 0.5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sample := func(i int) (imu.Vec3, imu.Vec3) {
+		return imu.Vec3{Z: 1 + 0.01*float64(i%7)}, imu.Vec3{X: float64(i % 5)}
+	}
+	n := 0
+	for ; n < 7*c.Window(); n++ {
+		c.Push(sample(n))
+	}
+	if got := c.SupervisorTier(); got != cascade.TierPrimary {
+		b.Fatalf("supervisor settled at %v, want %v", got, cascade.TierPrimary)
+	}
+	rt := serve.New(serve.Config{QueueLen: 64})
+	s := rt.Open(c)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Push(sample(n))
+		s.Quiesce()
+		n++
+	}
+	b.StopTimer()
+	if d := s.DrainDecisions(nil); len(d) > 0 && d[len(d)-1].Tier != cascade.TierPrimary {
+		b.Fatalf("served decisions from %v, want %v", d[len(d)-1].Tier, cascade.TierPrimary)
+	}
+	rt.Close()
+}
+
+func Benchmark_Serve_SessionPushCNN(b *testing.B) { benchServePushCNN[float64](b) }
+
+func Benchmark_Serve_SessionPushCNN_F32(b *testing.B) { benchServePushCNN[float32](b) }
+
 func Benchmark_Serve_SessionPush_F32(b *testing.B) {
 	// The served push with a float32-lowered cascade behind the same
 	// runtime: Pipeline is an interface, so the session machinery is

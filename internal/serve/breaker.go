@@ -16,8 +16,8 @@ import (
 // BreakerHold consecutive calm decisions, so the ceiling does not
 // flap around the trip point.
 //
-// The breaker is owned by the session worker; it is not concurrency-
-// safe on its own.
+// The breaker is owned by whichever goroutine drains the session (one
+// at a time); it is not concurrency-safe on its own.
 type breaker struct {
 	window  []time.Duration
 	scratch []time.Duration

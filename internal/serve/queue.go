@@ -16,9 +16,9 @@ type entry struct {
 	//fallvet:derived replay-log entry held in memory between snapshots and replayed live; never serialised
 	missing int
 	// shedBefore is how many raw samples were shed from the ring
-	// immediately before this entry. The worker converts the debt to
-	// PushMissing(shedBefore) at drain, so the pipeline sees shed
-	// load exactly as a sensor dropout of the same length.
+	// immediately before this entry. The drain converts the debt to
+	// PushMissing(shedBefore), so the pipeline sees shed load exactly
+	// as a sensor dropout of the same length.
 	//fallvet:derived replay-log entry held in memory between snapshots and replayed live; never serialised
 	shedBefore int
 	// deadline is when this entry's decision is due.

@@ -24,7 +24,7 @@ func (rt *Runtime) Config() Config { return rt.cfg }
 
 // Open registers a new session around p and starts its worker. The
 // pipeline must not be touched by the caller afterwards — the session
-// worker owns it. Returns nil after Close.
+// owns it. Returns nil after Close.
 func (rt *Runtime) Open(p Pipeline) *Session {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -76,7 +76,9 @@ func (rt *Runtime) Session(id int) *Session {
 }
 
 // Quiesce blocks until every session is idle: all ingress drained and
-// every worker between entries (shed sessions count as idle). The
+// no session mid-entry (shed sessions count as idle). It quiesces the
+// sessions in ID order, so a session whose backlog no goroutine has
+// claimed is drained on the calling goroutine (Session.Quiesce). The
 // chaos soak uses it as its lock-step round barrier.
 func (rt *Runtime) Quiesce() {
 	for _, s := range rt.Sessions() {

@@ -14,8 +14,9 @@
 //     the decision cadence never stalls. Every accepted sample carries
 //     a decision deadline; decisions produced after it are counted.
 //
-//   - Crash isolation. The worker applies samples under a recover
-//     barrier. A panic is converted to a *guard.PanicError and the
+//   - Crash isolation. Samples are applied under a recover barrier,
+//     by the session's worker or by a Quiesce caller that drains the
+//     ring itself, one goroutine at a time. A panic is converted to a *guard.PanicError and the
 //     session restarts with exponential backoff via guard.Run: the
 //     pipeline is restored from its last snapshot and the samples
 //     applied since are replayed with emission suppressed, so the
@@ -23,7 +24,7 @@
 //     one that never crashed. MaxRestarts consecutive failures shed
 //     the session instead of burning the host in a crash loop.
 //
-//   - Snapshots. Every SnapshotEvery samples the worker captures the
+//   - Snapshots. Every SnapshotEvery samples the session captures the
 //     pipeline state through the verified artifact envelope
 //     (cascade.Snapshot), bounding both the replay log and the warm-up
 //     a crash can lose.
@@ -51,9 +52,12 @@ import (
 // exact mutable surface of *cascade.Cascade; the indirection exists so
 // tests can script panics and latencies without a real model.
 //
-// A Pipeline is owned by its session's worker goroutine: the runtime
-// never calls it concurrently, so *cascade.Cascade's plain methods
-// satisfy it without locks.
+// A Pipeline is driven by one goroutine at a time: the session's
+// worker, or a Quiesce caller that found queued work unclaimed and
+// drains it itself. The claim is taken and released under the
+// session's mutex, so each runner happens after the last, and the
+// runtime never calls a Pipeline concurrently: *cascade.Cascade's
+// plain methods satisfy it without locks.
 type Pipeline interface {
 	// Push ingests one sample and returns the decision.
 	Push(acc, gyro imu.Vec3) cascade.Decision
@@ -118,14 +122,16 @@ type Config struct {
 	// BreakerHold is the promote hysteresis in decisions. Default:
 	// BreakerWindow.
 	BreakerHold int //fallvet:derived immutable runtime configuration, fixed by New; never part of a session snapshot
-	// Now is the clock. Default time.Now; tests and the deterministic
+	// Now is the clock. Default: the monotonic clock, anchored at the
+	// wall time New ran (monotonicNow); tests and the deterministic
 	// soak harness inject a VirtualClock.
 	Now func() time.Time
 	// Log, when non-nil, receives one line per restart, shed and
 	// breaker transition.
 	Log func(format string, args ...any)
-	// PushHook, when non-nil, runs on the worker goroutine before
-	// each dequeued entry is applied, with the session ID and the raw
+	// PushHook, when non-nil, runs on the goroutine draining the
+	// session (its worker or a Quiesce caller) before each dequeued
+	// entry is applied, with the session ID and the raw
 	// stream position of the entry's first sample. It also runs
 	// during replay (with the historical positions), so a hook that
 	// panics unconditionally exhausts MaxRestarts and sheds the
@@ -169,7 +175,7 @@ func (cfg Config) withDefaults() Config {
 		cfg.BreakerHold = cfg.BreakerWindow
 	}
 	if cfg.Now == nil {
-		cfg.Now = time.Now
+		cfg.Now = monotonicNow()
 	}
 	return cfg
 }

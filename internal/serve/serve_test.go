@@ -5,6 +5,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -550,5 +551,102 @@ func TestCloseRejectsAndDrains(t *testing.T) {
 	if rt.Session(0) != s || rt.Session(99) != nil {
 		t.Fatal("session lookup broken")
 	}
+	checkLeak(t, leak)
+}
+
+// TestQuiesceCallersExclusive: several goroutines Quiesce in a loop
+// while a producer pushes, so the worker and the Quiesce callers all
+// compete to drain the ring, through one-shot panics and their
+// restores. The pipeline counts the goroutines inside it and fails the
+// test if it ever sees two; the hook's map is written only by the
+// drain's owner, so -race flags any overlap too. Nothing is lost: the
+// stream position reaches every enqueued sample and each one yields
+// exactly one decision.
+func TestQuiesceCallersExclusive(t *testing.T) {
+	leak := StartLeakCheck()
+	const n, quiescers = 3000, 4
+	fired := map[uint64]bool{}
+	rt := New(Config{QueueLen: n, OutboxLen: n, SnapshotEvery: 32, RestartBackoff: time.Microsecond,
+		PushHook: func(_ int, pos uint64) {
+			if pos%251 == 100 && !fired[pos] {
+				fired[pos] = true
+				panic("injected fault")
+			}
+		}})
+	ex := &exclusivePipe{Pipeline: &fakePipe{}}
+	s := rt.Open(ex)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < quiescers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					s.Quiesce()
+				}
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		acc, gyro := sample(i)
+		if !s.Push(acc, gyro) {
+			t.Fatalf("push %d refused", i)
+		}
+	}
+	s.Quiesce()
+	close(stop)
+	wg.Wait()
+	if err := ex.err.Load(); err != nil {
+		t.Fatal(*err)
+	}
+	c := s.Counters()
+	if s.Pos() != n || c.Decisions != n || c.Shed != 0 {
+		t.Fatalf("Pos=%d Decisions=%d Shed=%d, want %d/%d/0", s.Pos(), c.Decisions, c.Shed, n, n)
+	}
+	if want := int64((n - 100 + 250) / 251); c.Panics != want || c.Restarts != want { // positions 100, 351, …
+		t.Fatalf("Panics/Restarts = %d/%d, want %d each", c.Panics, c.Restarts, want)
+	}
+	ds := s.DrainDecisions(nil)
+	for i, d := range ds {
+		if want := float64(i+1) / 1e6; d.Probability != want {
+			t.Fatalf("decision %d probability %v, want %v", i, d.Probability, want)
+		}
+	}
+	rt.Close()
+	checkLeak(t, leak)
+}
+
+// TestPushOnlyProgress: a producer that never calls Quiesce is still
+// served. Each round's pushes find the worker parked (the previous
+// round waited for it to finish), so only the wake from Push gets the
+// stream position to every enqueued sample.
+func TestPushOnlyProgress(t *testing.T) {
+	leak := StartLeakCheck()
+	const rounds, perRound = 5, 100
+	rt := New(Config{QueueLen: perRound + 1})
+	s := rt.Open(&fakePipe{})
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < perRound; i++ {
+			acc, gyro := sample(i)
+			s.Push(acc, gyro)
+		}
+		s.PushMissing(3)
+		want := uint64((r + 1) * (perRound + 3))
+		if got := uint64(s.Counters().Enqueued); got != want {
+			t.Fatalf("round %d: Enqueued = %d, want %d", r, got, want)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for s.Pos() != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: Pos stuck at %d of %d without a Quiesce: the worker is not draining", r, s.Pos(), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	rt.Close()
 	checkLeak(t, leak)
 }

@@ -14,11 +14,15 @@ import (
 	"repro/internal/imu"
 )
 
-// Session is one supervised stream: a bounded ingress ring feeding a
-// dedicated worker goroutine that drives the session's Pipeline.
-// Producers push samples from any goroutine and never block; the
-// worker owns the pipeline exclusively, so a panic inside it is
-// confined to this session and recovered by snapshot restore + replay.
+// Session is one supervised stream: a bounded ingress ring drained
+// into the session's Pipeline by one goroutine at a time. Producers
+// push samples from any goroutine and never block; each push wakes the
+// session's worker goroutine. A Quiesce caller that finds queued work
+// and no goroutine draining it claims the session and drains the ring
+// itself, which saves the lock-step client two goroutine switches per
+// packet. Whoever holds the claim owns the pipeline exclusively, so a
+// panic inside it is confined to this session and recovered by
+// snapshot restore + replay on that goroutine.
 type Session struct {
 	// ID is the runtime-assigned index, stable for the session's
 	// lifetime; the PushHook receives it.
@@ -28,21 +32,25 @@ type Session struct {
 	p   Pipeline
 
 	mu   sync.Mutex
-	idle *sync.Cond // broadcast on enqueue and on idle/exit transitions
+	wake *sync.Cond // signals the worker: work queued while unclaimed, or closing
+	idle *sync.Cond // broadcast when a claim ends or the session is done
 	//fallvet:derived in-memory ingress ring: a restore replays the log and the ring drains live, in-process
 	q       ring
 	closing bool //fallvet:derived worker lifecycle flag, meaningless across a restore
-	busy    bool //fallvet:derived worker lifecycle flag, meaningless across a restore
-	done    bool //fallvet:derived worker lifecycle flag (worker exited), meaningless across a restore
+	// busy is the claim: a goroutine (the worker or a Quiesce caller)
+	// is draining the ring and owns the pipeline. Claims are taken and
+	// released under mu, which orders each runner after the last.
+	busy bool //fallvet:derived drain claim, meaningless across a restore
+	done bool //fallvet:derived lifecycle flag (closed and drained, or shed), meaningless across a restore
 
 	state atomic.Int32
 	level atomic.Int32 // breaker level, mirrored for lock-free reads
 
 	// pos is the raw stream position: samples fully applied and
-	// emitted. Written only by the worker, read from anywhere.
+	// emitted. Written only by the claim holder, read from anywhere.
 	pos atomic.Uint64
 
-	// Replay state, owned by the worker goroutine (never locked).
+	// Replay state, owned by the claim holder (never locked).
 	snapImg   []byte // last good snapshot (nil before the first)
 	snapSpare []byte // retired snapshot buffer, reused for the next
 	snapPos   uint64 // pos at which snapImg was captured
@@ -83,6 +91,7 @@ func newSession(id int, p Pipeline, cfg Config) *Session {
 		brk:  newBreaker(cfg.BreakerWindow),
 		exit: make(chan struct{}),
 	}
+	s.wake = sync.NewCond(&s.mu)
 	s.idle = sync.NewCond(&s.mu)
 	if cfg.SnapshotEvery > 0 {
 		s.replayLog = make([]entry, 0, cfg.SnapshotEvery)
@@ -91,8 +100,9 @@ func newSession(id int, p Pipeline, cfg Config) *Session {
 	return s
 }
 
-// Push enqueues one sample. It never blocks: a full ring sheds its
-// oldest entry (accounted as missing samples on the next drain).
+// Push enqueues one sample and wakes the worker. It never blocks: a
+// full ring sheds its oldest entry (accounted as missing samples on
+// the next drain).
 // It returns false — and counts the sample as shed — once the session
 // is closed or shed.
 func (s *Session) Push(acc, gyro imu.Vec3) bool {
@@ -121,34 +131,51 @@ func (s *Session) enqueue(e entry, raw int) bool {
 	if shed > 0 {
 		s.shedN.Add(int64(shed))
 	}
-	s.idle.Broadcast()
+	if !s.busy {
+		// A claimed ring needs no wake: its runner drains until the
+		// ring is empty before it lets go.
+		s.wake.Signal()
+	}
 	s.mu.Unlock()
 	return true
 }
 
-// run is the worker loop: drain the ring, apply entries under the
-// crash barrier, exit when closed (after the backlog) or shed.
+// run is the worker loop: drain the ring whenever it holds unclaimed
+// work, exit once closed and drained, or shed.
 func (s *Session) run() {
 	defer close(s.exit)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for {
-		s.mu.Lock()
-		for s.q.n == 0 && !s.closing {
-			s.idle.Wait()
-		}
-		if s.q.n == 0 { // closing, backlog drained
+		switch {
+		case s.done:
+			return
+		case s.q.n > 0 && !s.busy:
+			s.drain()
+		case s.closing && !s.busy: // backlog drained
 			s.done = true
 			s.idle.Broadcast()
-			s.mu.Unlock()
 			return
+		default:
+			s.wake.Wait()
 		}
+	}
+}
+
+// drain claims the session and applies the ring's entries under the
+// crash barrier until the ring is empty, then releases the claim. It
+// runs on the worker or on a Quiesce caller; the caller holds mu and
+// has seen queued work and no claim. mu is released around each entry
+// and held again on return. Inside one drain, one clock read serves
+// as an entry's commit time and the next entry's start.
+func (s *Session) drain() {
+	s.busy = true
+	start := s.cfg.Now()
+	for s.q.n > 0 {
 		e := s.q.pop()
-		s.busy = true
 		s.mu.Unlock()
-
-		ok := s.applyEntry(e)
-
+		now, ok := s.applyEntry(e, start)
 		s.mu.Lock()
-		s.busy = false
 		if !ok {
 			// Restarts exhausted: shed the session, dropping the
 			// failed entry and the backlog. Their shed debt was
@@ -161,21 +188,21 @@ func (s *Session) run() {
 				dropped += s.q.pop().own()
 			}
 			s.shedN.Add(int64(dropped))
-			s.idle.Broadcast()
-			s.mu.Unlock()
-			return
+			break
 		}
-		if s.q.n == 0 {
-			s.idle.Broadcast()
-		}
-		s.mu.Unlock()
+		start = now
+	}
+	s.busy = false
+	s.idle.Broadcast()
+	if s.closing {
+		s.wake.Signal() // the worker exits once the claim is gone
 	}
 }
 
-// applyEntry applies one entry with panic isolation. On panic it runs
-// the restart protocol; false means the session must be shed.
-func (s *Session) applyEntry(e entry) bool {
-	start := s.cfg.Now()
+// applyEntry applies one entry with panic isolation, timing it from
+// start. On panic it runs the restart protocol; false means the
+// session must be shed. It returns the commit time.
+func (s *Session) applyEntry(e entry, start time.Time) (time.Time, bool) {
 	out, err := s.applyOnce(e, s.pos.Load())
 	restarted := false
 	if err != nil {
@@ -186,17 +213,17 @@ func (s *Session) applyEntry(e entry) bool {
 		if err != nil {
 			s.logf("session %d: shedding after %d failed restarts: %v",
 				s.ID, s.cfg.MaxRestarts, err)
-			return false
+			return time.Time{}, false
 		}
 		restarted = true
 	}
-	s.commit(e, out, start)
+	now := s.commit(e, out, start)
 	if restarted && s.cfg.SnapshotEvery > 0 {
 		// Re-anchor immediately so the fault window is never replayed
 		// twice and the next crash restores past it.
 		s.takeSnapshot()
 	}
-	return true
+	return now, true
 }
 
 // applyOnce drives the pipeline for one entry under a recover
@@ -284,8 +311,9 @@ func (s *Session) restoreReplay(cur entry) (appliedOut, error) {
 
 // commit publishes the outcome of a fully-applied entry: advance the
 // stream position, log for replay, emit decisions, account the
-// deadline, feed the breaker, refresh health, snapshot at cadence.
-func (s *Session) commit(e entry, out appliedOut, start time.Time) {
+// deadline, feed the breaker, refresh health, snapshot at cadence. It
+// returns the clock reading it committed at.
+func (s *Session) commit(e entry, out appliedOut, start time.Time) time.Time {
 	raw := e.raw()
 	s.pos.Add(uint64(raw))
 	if s.cfg.SnapshotEvery > 0 {
@@ -319,6 +347,7 @@ func (s *Session) commit(e entry, out appliedOut, start time.Time) {
 	if s.cfg.SnapshotEvery > 0 && s.sinceSnap >= s.cfg.SnapshotEvery {
 		s.takeSnapshot()
 	}
+	return now
 }
 
 // emit appends an evaluated decision to the outbox (aging out the
@@ -390,7 +419,7 @@ func (s *Session) BreakerLevel() int { return int(s.level.Load()) }
 func (s *Session) Pos() uint64 { return s.pos.Load() }
 
 // Counters snapshots the session's accounting. Safe from any
-// goroutine, including while the worker is mid-entry.
+// goroutine, including while the ring is being drained.
 func (s *Session) Counters() Counters {
 	return Counters{
 		Enqueued:       s.enqueued.Load(),
@@ -424,12 +453,20 @@ func (s *Session) TakeTrigger() (cascade.Decision, bool) {
 	return d, ok
 }
 
-// Quiesce blocks until the session is idle: ingress drained and the
-// worker between entries (or exited). It does not stop the session.
+// Quiesce blocks until the session is idle: ingress drained and no
+// goroutine mid-entry (or the session done). It does not stop the
+// session. When it finds queued work that no goroutine has claimed,
+// it drains the ring on the calling goroutine, with the same crash
+// barrier, restore and shed path as the worker, so a lock-step client
+// is served without a goroutine switch.
 func (s *Session) Quiesce() {
 	s.mu.Lock()
 	for !s.done && (s.q.n > 0 || s.busy) {
-		s.idle.Wait()
+		if s.busy {
+			s.idle.Wait()
+		} else {
+			s.drain()
+		}
 	}
 	s.mu.Unlock()
 }
@@ -439,7 +476,7 @@ func (s *Session) Quiesce() {
 func (s *Session) Close() {
 	s.mu.Lock()
 	s.closing = true
-	s.idle.Broadcast()
+	s.wake.Signal()
 	s.mu.Unlock()
 	<-s.exit
 }

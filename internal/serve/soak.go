@@ -253,7 +253,8 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	fallAt := perStream / 2
 
 	// Fault plan, indexed by session: each slot is only ever touched
-	// by that session's worker, so no locking is needed in the hook.
+	// by the goroutine draining that session, one at a time, so no
+	// locking is needed in the hook.
 	planned := make([]int, n)
 	persistent := make([]bool, n)
 	fired := make([]bool, n)

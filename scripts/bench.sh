@@ -119,6 +119,11 @@ BEGIN {
     zero["Benchmark_Edge_StreamingPushCNN_F32"] = 1
     zero["Benchmark_Cascade_PushPrimary_F32"] = 1
     zero["Benchmark_Serve_SessionPush_F32"] = 1
+    # A served CNN decision at the paper's one-sample cadence: the
+    # caller-runs hand-off plus the real three-tier cascade, at both
+    # widths.
+    zero["Benchmark_Serve_SessionPushCNN"] = 1
+    zero["Benchmark_Serve_SessionPushCNN_F32"] = 1
     # Sixteen detectors of one model pushed round-robin: the shared
     # weight copy must not cost an allocation either.
     zero["Benchmark_Edge_StreamingPushCNN_Fleet16"] = 1
