@@ -30,6 +30,9 @@ import (
 //   - panic: a one-shot panic at the next entry's stream position;
 //   - crash: a panic on every entry from the next one on, which
 //     exhausts MaxRestarts and sheds the session;
+//   - corrupt: one flipped byte in the session's in-memory snapshot,
+//     so the next restore fails its digest check and the restart
+//     sheds the session (unless a fresh snapshot replaces it first);
 //   - quiesce, drain (DrainDecisions and TakeTrigger), close, and
 //     virtual-clock advances.
 //
@@ -44,7 +47,8 @@ import (
 //     it dropped unapplied;
 //   - every evaluated decision reaches the outbox exactly once and in
 //     order, and the drained stream equals the reference's, across
-//     panics and restores;
+//     panics and restores; a corrupt snapshot sheds the session and
+//     never yields a wrong decision;
 //   - shed is terminal: once shed, the state never changes and every
 //     later push is refused and counted;
 //   - the pipeline is never entered by two goroutines at once;
@@ -55,8 +59,8 @@ import (
 // replay, and its arithmetic has its own tests. Its bookkeeping still
 // runs on every decision.
 func FuzzServeSession(f *testing.F) {
-	// Op bytes: 0 push, 10 missing, 14 burst, 18 panic, 20 crash,
-	// 21 quiesce, 24 drain, 27 close, 28 advance (see opTable).
+	// Op bytes: 0 push, 9 corrupt, 10 missing, 14 burst, 18 panic,
+	// 20 crash, 21 quiesce, 24 drain, 27 close, 28 advance (opTable).
 	f.Add([]byte{})
 	f.Add([]byte{2, 4, 1, 0, 0, 7, 10, 3, 0, 7, 21, 0, 24, 0, 28, 50, 0, 7, 24, 0})
 	// Bursts past a 3-deep ring, clock advances past the deadline
@@ -69,6 +73,9 @@ func FuzzServeSession(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 0x20, 0, 7, 0, 7, 18, 0, 0, 7, 0, 7, 21, 0, 24, 0})
 	// A crash loop sheds the session; later pushes are refused.
 	f.Add([]byte{4, 2, 2, 0x21, 0, 7, 20, 0, 0, 3, 10, 2, 14, 9, 21, 0, 24, 0})
+	// A corrupt snapshot, then a one-shot panic: the restore fails and
+	// the session is shed mid-burst.
+	f.Add([]byte{1, 4, 0, 0, 0, 7, 0, 7, 9, 0x55, 18, 0, 0, 3, 14, 0x12, 21, 0, 24, 0})
 	// Close mid-program, then pushes and a burst on the closed session.
 	f.Add([]byte{0, 1, 0, 0, 0, 0x47, 27, 0, 0, 3, 14, 2, 21, 0, 24, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -85,6 +92,7 @@ const (
 	opBurst
 	opPanic
 	opCrash
+	opCorrupt
 	opQuiesce
 	opDrain
 	opClose
@@ -92,7 +100,7 @@ const (
 )
 
 var opTable = [32]int{
-	opPush, opPush, opPush, opPush, opPush, opPush, opPush, opPush, opPush, opPush,
+	opPush, opPush, opPush, opPush, opPush, opPush, opPush, opPush, opPush, opCorrupt,
 	opMissing, opMissing, opMissing, opMissing,
 	opBurst, opBurst, opBurst, opBurst,
 	opPanic, opPanic,
@@ -103,8 +111,8 @@ var opTable = [32]int{
 	opAdvance, opAdvance, opAdvance, opAdvance,
 }
 
-// bigOutbox outsizes every decision a program can produce (at most
-// 3 bytes per op of 8 samples, far fewer decisions than this).
+// bigOutbox outsizes every decision a program can produce: at most
+// 256 ops of at most 15 entries, each emitting at most two decisions.
 const bigOutbox = 1 << 14
 
 func runServeProgram(t *testing.T, data []byte) {
@@ -194,6 +202,11 @@ func runServeProgram(t *testing.T, data []byte) {
 		if ok {
 			pending++
 			m.apply(e)
+			if m.shed {
+				// The entry sheds the session: let the runner reach
+				// it before the next push, which must be refused.
+				quiesce()
+			}
 		}
 	}
 
@@ -259,6 +272,14 @@ func runServeProgram(t *testing.T, data []byte) {
 			m.faultFrom = int64(m.pos)
 			push(mEntry{}, false)
 			quiesce()
+		case opCorrupt:
+			quiesce()
+			// Quiesced, so the last drain's writes to snapImg happen
+			// before this one, and this one before the next drain's.
+			if m.accepting() && len(s.snapImg) > 0 {
+				s.snapImg[int(arg)*len(s.snapImg)/256] ^= 0xa5
+				m.snapCorrupt = true
+			}
 		case opQuiesce:
 			quiesce()
 		case opDrain:
@@ -469,9 +490,10 @@ type serveModel struct {
 	closed, shed                         bool
 	health                               edge.Health
 
-	oneShot    int64
-	oneShotHit bool
-	faultFrom  int64
+	oneShot     int64
+	oneShotHit  bool
+	faultFrom   int64
+	snapCorrupt bool // the session's snapshot image fails its digest
 
 	out     []cascade.Decision // outbox
 	stream  []cascade.Decision // every decision emitted
@@ -503,7 +525,18 @@ func (m *serveModel) accept(e *mEntry) bool {
 // invisibly otherwise), then the entry's shed debt and its own samples
 // reach the reference, and its decisions are emitted and accounted.
 func (m *serveModel) apply(e mEntry) {
-	if m.faultFrom >= 0 && m.pos >= uint64(m.faultFrom) {
+	if m.shed { // backlog dropped by the shed
+		m.shedN += int64(e.own())
+		m.lost += int64(e.raw())
+		return
+	}
+	oneShot := int64(m.pos) == m.oneShot && !m.oneShotHit
+	if oneShot {
+		m.oneShotHit = true
+	}
+	if (m.faultFrom >= 0 && m.pos >= uint64(m.faultFrom)) || (oneShot && m.snapCorrupt) {
+		// Every restart attempt fails: the fault recurs, or the
+		// snapshot it restores from fails its digest.
 		m.panics++
 		m.restarts += int64(m.cfg.MaxRestarts)
 		m.shed = true
@@ -512,8 +545,7 @@ func (m *serveModel) apply(e mEntry) {
 		return
 	}
 	restarted := false
-	if int64(m.pos) == m.oneShot && !m.oneShotHit {
-		m.oneShotHit = true
+	if oneShot {
 		m.panics++
 		m.restarts++
 		restarted = true
@@ -552,6 +584,7 @@ func (m *serveModel) apply(e mEntry) {
 func (m *serveModel) snapshot() {
 	m.snapshots++
 	m.sinceSnap = 0
+	m.snapCorrupt = false
 }
 
 func (m *serveModel) emit(d cascade.Decision) {

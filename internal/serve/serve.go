@@ -16,13 +16,14 @@
 //
 //   - Crash isolation. Samples are applied under a recover barrier,
 //     by the session's worker or by a Quiesce caller that drains the
-//     ring itself, one goroutine at a time. A panic is converted to a *guard.PanicError and the
-//     session restarts with exponential backoff via guard.Run: the
-//     pipeline is restored from its last snapshot and the samples
-//     applied since are replayed with emission suppressed, so the
-//     restored session's visible decision stream is bit-identical to
-//     one that never crashed. MaxRestarts consecutive failures shed
-//     the session instead of burning the host in a crash loop.
+//     ring itself, one goroutine at a time. A panic is converted to a
+//     *guard.PanicError and the session restarts with exponential
+//     backoff via guard.Run: the pipeline is restored from its last
+//     snapshot and the samples applied since are replayed with
+//     emission suppressed, so the restored session's visible decision
+//     stream is bit-identical to one that never crashed. MaxRestarts
+//     consecutive failures shed the session instead of burning the
+//     host in a crash loop.
 //
 //   - Snapshots. Every SnapshotEvery samples the session captures the
 //     pipeline state through the verified artifact envelope

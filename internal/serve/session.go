@@ -31,8 +31,11 @@ type Session struct {
 	cfg Config
 	p   Pipeline
 
-	mu   sync.Mutex
-	wake *sync.Cond // signals the worker: work queued while unclaimed, or closing
+	mu sync.Mutex
+	// wake signals the worker: work queued while unclaimed, or
+	// closing. It is apart from idle so that the end of a drain run by
+	// a Quiesce caller does not wake the parked worker for nothing.
+	wake *sync.Cond
 	idle *sync.Cond // broadcast when a claim ends or the session is done
 	//fallvet:derived in-memory ingress ring: a restore replays the log and the ring drains live, in-process
 	q       ring

@@ -119,7 +119,7 @@ BEGIN {
     zero["Benchmark_Edge_StreamingPushCNN_F32"] = 1
     zero["Benchmark_Cascade_PushPrimary_F32"] = 1
     zero["Benchmark_Serve_SessionPush_F32"] = 1
-    # A served CNN decision at the paper's one-sample cadence: the
+    # A served CNN decision at one sample per packet (the paper cadence): the
     # caller-runs hand-off plus the real three-tier cascade, at both
     # widths.
     zero["Benchmark_Serve_SessionPushCNN"] = 1
