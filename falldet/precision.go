@@ -53,25 +53,10 @@ func ParsePrecision(s string) (Precision, error) {
 	return 0, fmt.Errorf("falldet: unknown precision %q (want f64 or f32)", s)
 }
 
-// Float32 streaming surface, mirroring the float64 re-exports.
-type (
-	// StreamDetectorF32 is the real-time pipeline compiled at float32.
-	StreamDetectorF32 = edge.DetectorOf[float32]
-	// StreamCascadeF32 is the supervised three-tier pipeline compiled
-	// at float32.
-	StreamCascadeF32 = cascade.CascadeOf[float32]
-)
-
-// StreamF32 wraps the detector in a float32 streaming pipeline: the
-// float64 checkpoint's weights are lowered once here, and every
-// subsequent window scores in single precision. The float64 training
-// artefact is untouched — Stream and StreamF32 can coexist on one
-// Detector.
-func (det *Detector) StreamF32() (*StreamDetectorF32, error) {
-	return streamAt[float32](det, det.model)
-}
-
-// streamAt is streamWith at an arbitrary compiled width.
+// streamAt builds the detector's streaming pipeline at compiled width
+// S. At float32 the float64 checkpoint's weights are lowered once
+// here, and every subsequent window scores in single precision; the
+// float64 training artefact is untouched.
 func streamAt[S tensor.Scalar](det *Detector, clf model.Classifier) (*edge.DetectorOf[S], error) {
 	thr := det.cfg.Threshold
 	if thr == 0 {
@@ -84,15 +69,9 @@ func streamAt[S tensor.Scalar](det *Detector, clf model.Classifier) (*edge.Detec
 	})
 }
 
-// StreamF32 instantiates the supervised cascade at float32; both CNN
-// tiers lower their weights at construction, the threshold floor and
-// the supervisor are width-independent.
-func (cd *CascadeDetector) StreamF32() (*StreamCascadeF32, error) {
-	return cascadeStreamAt[float32](cd, cd.primary.model, cd.fallback.model)
-}
-
-// cascadeStreamAt is CascadeDetector.streamWith at an arbitrary
-// compiled width.
+// cascadeStreamAt builds the supervised cascade at compiled width S.
+// At float32 both CNN tiers lower their weights at construction; the
+// threshold floor and the supervisor are width-independent.
 func cascadeStreamAt[S tensor.Scalar](cd *CascadeDetector, primary, fallback model.Classifier) (*cascade.CascadeOf[S], error) {
 	winSamples := cd.primary.cfg.WindowMS * dataset.SampleRate / 1000
 	shape := []int{winSamples, imu.NumChannels}

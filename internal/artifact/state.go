@@ -29,11 +29,6 @@ func AppendInt(dst []byte, v int) []byte {
 	return AppendUint64(dst, uint64(int64(v)))
 }
 
-// AppendInt64 appends a signed 64-bit integer.
-func AppendInt64(dst []byte, v int64) []byte {
-	return AppendUint64(dst, uint64(v))
-}
-
 // AppendFloat appends the IEEE-754 bit pattern of v.
 func AppendFloat(dst []byte, v float64) []byte {
 	return AppendUint64(dst, math.Float64bits(v))
@@ -84,9 +79,6 @@ func (r *StateReader) Uint64() uint64 {
 
 // Int consumes a signed integer written by AppendInt.
 func (r *StateReader) Int() int { return int(int64(r.Uint64())) }
-
-// Int64 consumes a signed 64-bit integer.
-func (r *StateReader) Int64() int64 { return int64(r.Uint64()) }
 
 // Float consumes an IEEE-754 float64.
 func (r *StateReader) Float() float64 { return math.Float64frombits(r.Uint64()) }

@@ -64,7 +64,8 @@ func (t Tier) String() string {
 
 // Config sizes the cascade. The streaming geometry mirrors
 // edge.DetectorConfig; the cost fields feed the supervisor's
-// per-sample cycle budget.
+// per-sample cycle budget on the STM32F722 (edge.STM32F722). The
+// supervisor's promotion hysteresis is one full window.
 type Config struct {
 	// WindowMS and Overlap mirror the training segmentation.
 	WindowMS int
@@ -73,24 +74,11 @@ type Config struct {
 	// convention: 0 selects edge.DefaultThreshold, negative values
 	// select a literal 0.
 	Threshold float64
-	// FixedPoint selects the Q16.16 pre-filter.
-	FixedPoint bool
-	// FullScaleG / FullScaleDPS are the sensor clamp ranges (0 = the
-	// edge defaults, ±16 g and ±2000 deg/s).
-	FullScaleG   float64
-	FullScaleDPS float64
-	// Device is the deployment target for the cycle budget; the zero
-	// value selects edge.STM32F722().
-	Device edge.Device
 	// PrimaryCost and FallbackCost are the modeled inference costs of
 	// the tier-0 and tier-1 classifiers (edge.ModelCost). A zero cost
 	// models a free classifier, so callers who want budget enforcement
 	// must supply them.
 	PrimaryCost, FallbackCost edge.Cost
-	// PromoteHoldSamples is the hysteresis: how many consecutive
-	// samples the better tier's requirements must hold before the
-	// supervisor promotes. Default: one full window.
-	PromoteHoldSamples int
 }
 
 // CascadeOf is the supervised three-tier detector at scalar width S.
@@ -152,12 +140,9 @@ func NewOf[S tensor.Scalar](primary, fallback model.Classifier, cfg Config) (*Ca
 		return nil, fmt.Errorf("cascade: nil primary classifier")
 	}
 	det, err := edge.NewDetectorOf[S](primary, edge.DetectorConfig{
-		WindowMS:     cfg.WindowMS,
-		Overlap:      cfg.Overlap,
-		Threshold:    cfg.Threshold,
-		FixedPoint:   cfg.FixedPoint,
-		FullScaleG:   cfg.FullScaleG,
-		FullScaleDPS: cfg.FullScaleDPS,
+		WindowMS:  cfg.WindowMS,
+		Overlap:   cfg.Overlap,
+		Threshold: cfg.Threshold,
 	})
 	if err != nil {
 		return nil, err
@@ -169,10 +154,7 @@ func NewOf[S tensor.Scalar](primary, fallback model.Classifier, cfg Config) (*Ca
 	case thr < 0:
 		thr = 0
 	}
-	dev := cfg.Device
-	if dev.Name == "" {
-		dev = edge.STM32F722()
-	}
+	dev := edge.STM32F722()
 	c := &CascadeOf[S]{
 		det:       det,
 		primary:   primary,
@@ -201,11 +183,7 @@ func NewOf[S tensor.Scalar](primary, fallback model.Classifier, cfg Config) (*Ca
 	if minTier == TierFallback && fallback == nil {
 		minTier = TierThreshold
 	}
-	hold := cfg.PromoteHoldSamples
-	if hold <= 0 {
-		hold = det.Window
-	}
-	c.sup = supervisor{tier: minTier, minTier: minTier, promoteHold: hold}
+	c.sup = supervisor{tier: minTier, minTier: minTier, promoteHold: det.Window}
 	return c, nil
 }
 
@@ -256,7 +234,7 @@ func (c *CascadeOf[S]) MinTier() Tier { return c.sup.minTier }
 func (c *CascadeOf[S]) TierEvals() [NumTiers]int { return c.tierEvals }
 
 // BudgetCycles is the cycle budget of one sample period on the
-// configured device.
+// STM32F722.
 func (c *CascadeOf[S]) BudgetCycles() float64 { return c.budget }
 
 // PerSampleCycles is the modeled worst-case per-sample cost (fusion +

@@ -36,48 +36,44 @@ func decisionsEqual(a, b Decision) bool { return a == b }
 // identical decisions for every subsequent sample, and re-snapshotting
 // both at any later point yields state-equal images.
 func TestSnapshotRoundTripBitIdentical(t *testing.T) {
-	for _, fixed := range []bool{false, true} {
-		cfg := testCfg
-		cfg.FixedPoint = fixed
-		ref := newTestCascade(t, cfg)
-		for i := 0; i < 333; i++ {
-			pushAt(ref, i)
-		}
-		img, err := ref.SnapshotBytes()
-		if err != nil {
-			t.Fatal(err)
-		}
+	ref := newTestCascade(t, testCfg)
+	for i := 0; i < 333; i++ {
+		pushAt(ref, i)
+	}
+	img, err := ref.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		restored := newTestCascade(t, cfg)
-		if err := restored.Restore(bytes.NewReader(img)); err != nil {
-			t.Fatalf("fixed=%v: %v", fixed, err)
+	restored := newTestCascade(t, testCfg)
+	if err := restored.Restore(bytes.NewReader(img)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 333; i < 1000; i++ {
+		da := pushAt(ref, i)
+		db := pushAt(restored, i)
+		if !decisionsEqual(da, db) {
+			t.Fatalf("decisions diverge at sample %d:\n ref      %+v\n restored %+v", i, da, db)
 		}
-		for i := 333; i < 1000; i++ {
-			da := pushAt(ref, i)
-			db := pushAt(restored, i)
-			if !decisionsEqual(da, db) {
-				t.Fatalf("fixed=%v: decisions diverge at sample %d:\n ref      %+v\n restored %+v", fixed, i, da, db)
-			}
-		}
-		if ref.Detector().Stats() != restored.Detector().Stats() {
-			t.Fatalf("fixed=%v: fault counters diverged:\n ref      %+v\n restored %+v",
-				fixed, ref.Detector().Stats(), restored.Detector().Stats())
-		}
-		a, err := ref.SnapshotBytes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := restored.SnapshotBytes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		eq, err := SnapshotEqual(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !eq {
-			t.Fatalf("fixed=%v: post-continuation snapshots differ", fixed)
-		}
+	}
+	if ref.Detector().Stats() != restored.Detector().Stats() {
+		t.Fatalf("fault counters diverged:\n ref      %+v\n restored %+v",
+			ref.Detector().Stats(), restored.Detector().Stats())
+	}
+	a, err := ref.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := restored.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eq, err := SnapshotEqual(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !eq {
+		t.Fatal("post-continuation snapshots differ")
 	}
 }
 
@@ -199,10 +195,6 @@ func TestRestoreRejectsMismatchAndCorruption(t *testing.T) {
 	otherThr := newTestCascade(t, Config{WindowMS: 400, Overlap: 0.5, Threshold: 0.9})
 	if err := otherThr.Restore(bytes.NewReader(img)); err == nil {
 		t.Fatal("restore accepted a snapshot with a different threshold")
-	}
-	otherArith := newTestCascade(t, Config{WindowMS: 400, Overlap: 0.5, FixedPoint: true})
-	if err := otherArith.Restore(bytes.NewReader(img)); err == nil {
-		t.Fatal("restore accepted a float snapshot into a fixed-point pipeline")
 	}
 
 	for _, n := range []int{1, len(img) / 2, len(img) - 1} {

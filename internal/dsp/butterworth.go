@@ -107,17 +107,6 @@ func MustButterworth(order int, fc, fs float64) *Filter {
 // Order returns the filter order (2 × number of sections).
 func (f *Filter) Order() int { return 2 * len(f.sections) }
 
-// Sections returns state-free copies of the cascade's biquad
-// coefficients, for consumers that re-implement the cascade in
-// another arithmetic (e.g. the fixed-point edge filter).
-func (f *Filter) Sections() []Biquad {
-	out := make([]Biquad, len(f.sections))
-	for i := range f.sections {
-		out[i] = f.sections[i].clone()
-	}
-	return out
-}
-
 // Reset clears all section states.
 func (f *Filter) Reset() {
 	for i := range f.sections {

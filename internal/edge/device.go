@@ -141,10 +141,8 @@ func layerCost(l nn.Layer, in []int) (Cost, []int, error) {
 	case *nn.Conv1D:
 		outT := in[0] - ll.Kernel + 1
 		return Cost{MACs: outT * ll.Filters * ll.Kernel * ll.InCh, Elems: outN, Layers: 1}, out, nil
-	case *nn.MaxPool1D, *nn.ReLU, *nn.Sigmoid, *nn.Flatten, *nn.Tanh:
+	case *nn.MaxPool1D, *nn.ReLU, *nn.Sigmoid, *nn.Flatten:
 		return Cost{Elems: outN, Layers: 1}, out, nil
-	case *nn.Dropout:
-		return Cost{Layers: 0}, out, nil // identity at inference
 	case *nn.LSTM:
 		T := in[0]
 		perStep := 4 * ll.Hidden * (ll.InCh + ll.Hidden)

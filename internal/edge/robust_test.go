@@ -51,9 +51,8 @@ func TestPushQuarantinesNonFinite(t *testing.T) {
 }
 
 func TestPushClampsFullScale(t *testing.T) {
-	det := newThresholdDetector(t, DetectorConfig{
-		WindowMS: 200, Overlap: 0.5, FullScaleG: 8, FullScaleDPS: 500,
-	})
+	det := newThresholdDetector(t, DetectorConfig{WindowMS: 200, Overlap: 0.5})
+	// Both components exceed the ±16 g / ±2000 deg/s full scale.
 	r := det.Push(imu.Vec3{Z: 100}, imu.Vec3{X: 9000})
 	if !r.Clamped {
 		t.Fatal("over-range sample not flagged as clamped")

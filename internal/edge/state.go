@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/artifact"
-	"repro/internal/dsp"
 	"repro/internal/imu"
 )
 
@@ -33,11 +32,11 @@ import (
 //	    version-1 writer could produce).
 const detectorStateVersion = 2
 
-// Filter-kind tags in the encoded state.
-const (
-	filterKindFloat = 0
-	filterKindFixed = 1
-)
+// filterKindFloat is the filter-kind word of the encoded state: the
+// float Butterworth cascade, the only pre-filter arithmetic. The word
+// stays in the layout so state images keep their version-2 shape;
+// ReadState rejects any other value.
+const filterKindFloat = 0
 
 // AppendState appends the detector's complete mutable state to dst and
 // returns the extended slice. The geometry (window, step, filter
@@ -49,12 +48,7 @@ func (d *DetectorOf[S]) AppendState(dst []byte) []byte {
 	dst = artifact.AppendInt(dst, d.Window)
 	dst = artifact.AppendInt(dst, d.Step)
 	dst = artifact.AppendFloat(dst, d.Threshold)
-	switch d.filters[0].(type) {
-	case *fixedOf[S]:
-		dst = artifact.AppendUint64(dst, filterKindFixed)
-	default:
-		dst = artifact.AppendUint64(dst, filterKindFloat)
-	}
+	dst = artifact.AppendUint64(dst, filterKindFloat)
 
 	dst = artifact.AppendInt(dst, d.count)
 	dst = artifact.AppendBool(dst, d.reprime)
@@ -102,27 +96,12 @@ func (d *DetectorOf[S]) AppendState(dst []byte) []byte {
 	dst = artifact.AppendInt(dst, d.stats.AccDrift)
 	dst = artifact.AppendInt(dst, d.stats.GyroDrift)
 
-	for c := range d.filters {
-		switch fl := d.filters[c].(type) {
-		case *dsp.FilterOf[S]:
-			st := fl.F.AppendState(d.snapF[:0])
-			d.snapF = st
-			dst = artifact.AppendInt(dst, len(st))
-			for _, v := range st {
-				dst = artifact.AppendFloat(dst, v)
-			}
-		case *fixedOf[S]:
-			st := fl.f.appendState(d.snapI[:0])
-			d.snapI = st
-			dst = artifact.AppendInt(dst, len(st))
-			for _, v := range st {
-				dst = artifact.AppendInt64(dst, v)
-			}
-		default:
-			// Unreachable with the constructors in this package; encode
-			// an impossible length so restore fails loudly rather than
-			// desynchronising silently.
-			dst = artifact.AppendInt(dst, -1)
+	for _, fl := range d.filters {
+		st := fl.F.AppendState(d.snapF[:0])
+		d.snapF = st
+		dst = artifact.AppendInt(dst, len(st))
+		for _, v := range st {
+			dst = artifact.AppendFloat(dst, v)
 		}
 	}
 
@@ -166,9 +145,8 @@ func (d *DetectorOf[S]) ReadState(r *artifact.StateReader) error {
 		return fmt.Errorf("edge: snapshot geometry %d/%d/%g, detector is %d/%d/%g",
 			win, step, thr, d.Window, d.Step, d.Threshold)
 	}
-	_, fixed := d.filters[0].(*fixedOf[S])
-	if (kind == filterKindFixed) != fixed {
-		return fmt.Errorf("edge: snapshot filter arithmetic does not match the detector's")
+	if kind != filterKindFloat {
+		return fmt.Errorf("edge: snapshot filter kind %d, this build runs the float cascade (%d)", kind, filterKindFloat)
 	}
 
 	d.count = r.Int()
@@ -222,42 +200,23 @@ func (d *DetectorOf[S]) ReadState(r *artifact.StateReader) error {
 	d.stats.AccDrift = r.Int()
 	d.stats.GyroDrift = r.Int()
 
-	for c := range d.filters {
+	for c, fl := range d.filters {
 		n := r.Int()
 		if err := r.Err(); err != nil {
 			return err
 		}
-		switch fl := d.filters[c].(type) {
-		case *dsp.FilterOf[S]:
-			if n != fl.F.StateLen() {
-				return fmt.Errorf("edge: filter %d state holds %d values, want %d", c, n, fl.F.StateLen())
-			}
-			st := make([]float64, n)
-			for i := range st {
-				st[i] = r.Float()
-			}
-			if err := r.Err(); err != nil {
-				return err
-			}
-			if err := fl.F.SetState(st); err != nil {
-				return err
-			}
-		case *fixedOf[S]:
-			if n != fl.f.stateLen() {
-				return fmt.Errorf("edge: filter %d state holds %d words, want %d", c, n, fl.f.stateLen())
-			}
-			st := make([]int64, n)
-			for i := range st {
-				st[i] = r.Int64()
-			}
-			if err := r.Err(); err != nil {
-				return err
-			}
-			if err := fl.f.setState(st); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("edge: filter %d has an unknown implementation", c)
+		if n != fl.F.StateLen() {
+			return fmt.Errorf("edge: filter %d state holds %d values, want %d", c, n, fl.F.StateLen())
+		}
+		st := make([]float64, n)
+		for i := range st {
+			st[i] = r.Float()
+		}
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if err := fl.F.SetState(st); err != nil {
+			return err
 		}
 	}
 

@@ -20,7 +20,7 @@ import (
 // samples, the most recent Window samples are classified.
 //
 // The pipeline does not trust its sensor. Non-finite readings are
-// quarantined, readings beyond the configured full-scale range are
+// quarantined, readings beyond the sensor full-scale range are
 // clamped, and missing samples (reported via PushMissing) are bridged
 // by sample-and-hold when the gap is short or force a filter re-prime
 // plus a full-window warm-up when it is not — classifying a ring
@@ -44,7 +44,7 @@ type DetectorOf[S tensor.Scalar] struct {
 
 	//fallvet:derived immutable classifier reference, bound at construction; snapshots carry pipeline state, not weights
 	clf     model.Classifier
-	filters [imu.NumChannels]streamFilterOf[S]
+	filters [imu.NumChannels]*dsp.FilterOf[S]
 	fusion  *imu.Fusion
 
 	ring  []S // Window × 9, circular by row
@@ -68,12 +68,6 @@ type DetectorOf[S tensor.Scalar] struct {
 	strideCtr int  //fallvet:derived recomputed from count by syncStride on Reset/ReadState
 	atStride  bool //fallvet:derived recomputed from count by syncStride on Reset/ReadState
 
-	// floatFl mirrors filters with their concrete type when the float
-	// cascade is selected, so ingest can skip interface dispatch on
-	// its nine per-sample filter calls. Nil entries mean fixed-point.
-	//fallvet:derived concrete-type mirror of filters, re-established at construction; ReadState restores through the filters entries
-	floatFl [imu.NumChannels]*dsp.FilterOf[S]
-
 	// streams holds incremental scorers attached to classifiers
 	// (DESIGN.md §12): every ingested row feeds them, and ScoreWindow
 	// answers from the cached conv/pool rings instead of re-running
@@ -82,9 +76,6 @@ type DetectorOf[S tensor.Scalar] struct {
 	// batch form, bit-identically.
 	//fallvet:derived incremental-scorer cache, rebuilt row by row via rebuildStream after ReadState
 	streams []attachedStreamOf[S]
-
-	fullScaleG   float64 //fallvet:derived immutable clamp configuration, fixed at construction
-	fullScaleDPS float64 //fallvet:derived immutable clamp configuration, fixed at construction
 
 	reprime     bool // filters must re-prime on the next real sample
 	gapRun      int  // consecutive missing/quarantined samples so far
@@ -101,10 +92,9 @@ type DetectorOf[S tensor.Scalar] struct {
 	heldGyro    imu.Vec3 // last finite gyro reading, for gyro-only holds
 	stats       FaultStats
 
-	// snapF/snapI stage per-filter state during AppendState so a
-	// snapshot cadence allocates nothing at steady state.
+	// snapF stages per-filter state during AppendState so a snapshot
+	// cadence allocates nothing at steady state.
 	snapF []float64
-	snapI []int64
 }
 
 // Detector is the float64 reference detector — the exact pre-generic
@@ -115,16 +105,6 @@ type Detector = DetectorOf[float64]
 type attachedStreamOf[S tensor.Scalar] struct {
 	clf model.Classifier
 	st  *nn.StreamerOf[S]
-}
-
-// streamFilterOf is the causal per-channel pre-filter at sample width
-// S; satisfied by the float dsp.FilterOf wrapper and the Q16.16
-// fixedOf wrapper. Both keep their accumulators wider than S — the
-// interface fixes only the sample boundary.
-type streamFilterOf[S tensor.Scalar] interface {
-	Process(x S) S
-	Prime(x0 S)
-	Reset()
 }
 
 // DefaultThreshold is the trigger probability applied when
@@ -142,6 +122,14 @@ const ThresholdAlways = -1.0
 // over — the pipeline re-primes and warms up instead.
 const maxBridgeSamples = 5
 
+// fullScaleG and fullScaleDPS are the sensor full-scale ranges:
+// incoming readings are clamped to ±16 g and ±2000 deg/s, as the
+// physical part would clip them — the widest common MEMS configuration.
+const (
+	fullScaleG   = 16.0
+	fullScaleDPS = 2000.0
+)
+
 // DetectorConfig sizes the streaming pipeline.
 type DetectorConfig struct {
 	// WindowMS and Overlap mirror the training segmentation.
@@ -151,16 +139,6 @@ type DetectorConfig struct {
 	// DefaultThreshold (0.5); negative values select an explicit
 	// threshold of 0 (see ThresholdAlways).
 	Threshold float64
-	// FixedPoint selects the Q16.16 integer pre-filter instead of the
-	// float cascade, as fielded firmware often does to keep the FPU
-	// free for the CNN.
-	FixedPoint bool
-	// FullScaleG and FullScaleDPS are the sensor full-scale ranges;
-	// incoming readings are clamped to ±FullScale as the physical part
-	// would. Zero values select ±16 g and ±2000 deg/s, the widest
-	// common MEMS configuration.
-	FullScaleG   float64
-	FullScaleDPS float64
 }
 
 // NewDetector builds the float64 reference pipeline around a trained
@@ -189,29 +167,16 @@ func NewDetectorOf[S tensor.Scalar](clf model.Classifier, cfg DetectorConfig) (*
 	case thr < 0:
 		thr = 0
 	}
-	fsG := cfg.FullScaleG
-	if fsG == 0 {
-		fsG = 16
-	}
-	fsDPS := cfg.FullScaleDPS
-	if fsDPS == 0 {
-		fsDPS = 2000
-	}
-	if fsG < 0 || fsDPS < 0 {
-		return nil, fmt.Errorf("edge: negative full-scale range (%g g, %g dps)", fsG, fsDPS)
-	}
 	d := &DetectorOf[S]{
-		Window:       win,
-		Step:         dsp.Step(win, cfg.Overlap),
-		Threshold:    thr,
-		clf:          clf,
-		fusion:       imu.MustNewFusion(dataset.SampleRate, 0.5),
-		ring:         make([]S, win*imu.NumChannels),
-		win:          tensor.NewOf[S](win, imu.NumChannels),
-		fullScaleG:   fsG,
-		fullScaleDPS: fsDPS,
-		reprime:      true,
-		health:       newHealthRing(win),
+		Window:    win,
+		Step:      dsp.Step(win, cfg.Overlap),
+		Threshold: thr,
+		clf:       clf,
+		fusion:    imu.MustNewFusion(dataset.SampleRate, 0.5),
+		ring:      make([]S, win*imu.NumChannels),
+		win:       tensor.NewOf[S](win, imu.NumChannels),
+		reprime:   true,
+		health:    newHealthRing(win),
 	}
 	if t, ok := any(d.win).(*tensor.Tensor); ok {
 		d.win64 = t // float64: the same storage, no widening ever needed
@@ -222,18 +187,7 @@ func NewDetectorOf[S tensor.Scalar](clf model.Classifier, cfg DetectorConfig) (*
 		d.groups[g] = newHealthRing(win)
 	}
 	for c := range d.filters {
-		fl := dsp.MustButterworth(4, 5, dataset.SampleRate)
-		if cfg.FixedPoint {
-			ff, err := NewFixedFilter(fl)
-			if err != nil {
-				return nil, err
-			}
-			d.filters[c] = &fixedOf[S]{f: ff}
-		} else {
-			w := dsp.WrapFilter[S](fl)
-			d.filters[c] = w
-			d.floatFl[c] = w
-		}
+		d.filters[c] = dsp.WrapFilter[S](dsp.MustButterworth(4, 5, dataset.SampleRate))
 	}
 	d.syncStride()
 	d.AttachStream(clf)
@@ -439,8 +393,8 @@ func (d *DetectorOf[S]) push(acc, gyro imu.Vec3, eval bool) Result {
 		gyro = d.heldGyro
 	}
 	clamped := false
-	acc = clampFull(acc, d.fullScaleG, &clamped)
-	gyro = clampFull(gyro, d.fullScaleDPS, &clamped)
+	acc = clampFull(acc, fullScaleG, &clamped)
+	gyro = clampFull(gyro, fullScaleDPS, &clamped)
 	if clamped {
 		d.stats.Clamped++
 	}
@@ -603,28 +557,16 @@ func (d *DetectorOf[S]) ingest(row [imu.NumChannels]float64) {
 		d.reprime = false
 	}
 	slot := d.slot
-	if d.floatFl[0] != nil {
-		// Concrete float cascade: direct calls, no interface dispatch
-		// on the nine per-sample Process calls.
-		for c := 0; c < imu.NumChannels; c++ {
-			// Filter in physical units, then apply the same per-channel
-			// normalisation the training segments use. Unit scales skip
-			// the divide (x/1.0 is the identity, bit for bit) — three
-			// of the nine divsd per sample do nothing.
-			v := d.floatFl[c].Process(S(row[c]))
-			if s := imu.ChannelScale(c); s != 1 {
-				v /= S(s)
-			}
-			d.ring[slot*imu.NumChannels+c] = v
+	for c := 0; c < imu.NumChannels; c++ {
+		// Filter in physical units, then apply the same per-channel
+		// normalisation the training segments use. Unit scales skip the
+		// divide (x/1.0 is the identity, bit for bit) — three of the
+		// nine divsd per sample do nothing.
+		v := d.filters[c].Process(S(row[c]))
+		if s := imu.ChannelScale(c); s != 1 {
+			v /= S(s)
 		}
-	} else {
-		for c := 0; c < imu.NumChannels; c++ {
-			v := d.filters[c].Process(S(row[c]))
-			if s := imu.ChannelScale(c); s != 1 {
-				v /= S(s)
-			}
-			d.ring[slot*imu.NumChannels+c] = v
-		}
+		d.ring[slot*imu.NumChannels+c] = v
 	}
 	for i := range d.streams {
 		// Feed the incremental scorers the exact ring row — bridged

@@ -25,7 +25,6 @@ const (
 	quantAlloc   = "internal/quant/alloc_test.go TestQuantizedPredictAllocationFree"
 	trainOnly    = "training path: static hotpath rule only (no dynamic alloc gate)"
 	degrade      = "degradation path: static hotpath rule only (shares Push scratch)"
-	fixedOnly    = "fixed-point filter variant: static hotpath rule only"
 	coldPrime    = "cold (re)prime path: static hotpath rule only"
 	streamAlloc  = "internal/nn/stream_test.go TestStreamerAllocationFree + internal/edge/alloc_test.go (streaming push)"
 )
@@ -98,17 +97,11 @@ var hotpathCoverage = map[string]string{
 	"internal/edge.driftTrack.observeAcc":     edgeAlloc,
 	"internal/edge.driftTrack.observeGyro":    edgeAlloc,
 
-	// Degradation and fixed-point variants of the streaming pipeline.
+	// Degradation path of the streaming pipeline.
 	"internal/edge.DetectorOf.PushMissing":   degrade,
 	"internal/edge.DetectorOf.IngestMissing": degrade,
 	"internal/edge.DetectorOf.pushMissing":   degrade,
 	"internal/edge.DetectorOf.absorbMissing": degrade,
-	"internal/edge.FixedFilter.Process":      fixedOnly,
-	"internal/edge.FixedFilter.Prime":        coldPrime,
-	"internal/edge.fixedOf.Process":          fixedOnly,
-	"internal/edge.fixedOf.Prime":            coldPrime,
-	"internal/edge.toQ":                      fixedOnly,
-	"internal/edge.fromQ":                    fixedOnly,
 
 	// Detector cascade: supervisor, threshold floor and decision path,
 	// all inside cascade.Push at every tier.
@@ -144,7 +137,6 @@ var hotpathCoverage = map[string]string{
 	"internal/nn.matVecBias":       nnAlloc,
 	"internal/nn.reluInto":         nnAlloc,
 	"internal/nn.sigmoidInto":      nnAlloc,
-	"internal/nn.tanhInto":         nnAlloc,
 	"internal/nn.matVecBias2":      streamAlloc,
 	"internal/nn.matVecBiasReLU":   streamAlloc,
 	"internal/nn.matVecBias2ReLU":  streamAlloc,
@@ -355,7 +347,6 @@ func TestSnapshotPairSet(t *testing.T) {
 		"repro/internal/cascade.CascadeOf",
 		"repro/internal/dsp.Filter",
 		"repro/internal/edge.DetectorOf",
-		"repro/internal/edge.FixedFilter",
 		"repro/internal/nn.Network",
 		"repro/internal/serve.Session",
 	}

@@ -20,7 +20,7 @@ import (
 // through the pair's fields (unwrapping pointers, slices and arrays),
 // so helper rings and run-length trackers are held to the same
 // standard; fields of types from other packages are that package's own
-// pair's responsibility (dsp.Filter, edge.FixedFilter).
+// pair's responsibility (dsp.Filter).
 
 var snapshotAnalyzer = &Analyzer{
 	Name: "snapshot",

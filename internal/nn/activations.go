@@ -1,9 +1,7 @@
 package nn
 
 import (
-	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/tensor"
 )
@@ -118,47 +116,6 @@ func (s *Sigmoid) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-// Tanh is the hyperbolic-tangent activation, element-wise.
-type Tanh struct {
-	y  *tensor.Tensor // scratch; doubles as the train-time cache
-	dx *tensor.Tensor // backward scratch
-}
-
-// NewTanh returns a tanh activation layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Name implements Layer.
-func (t *Tanh) Name() string { return "tanh" }
-
-// Params implements Layer.
-func (t *Tanh) Params() []*Param { return nil }
-
-// OutShape implements Layer.
-func (t *Tanh) OutShape(in []int) ([]int, error) { return in, nil }
-
-// Forward implements Layer.
-func (t *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := tensor.Reuse(t.y, x.Shape()...)
-	t.y = y
-	yd := y.Data()
-	for i, v := range x.Data() {
-		yd[i] = math.Tanh(v)
-	}
-	return y
-}
-
-// Backward implements Layer.
-func (t *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.Reuse(t.dx, grad.Shape()...)
-	t.dx = dx
-	copy(dx.Data(), grad.Data())
-	d, yd := dx.Data(), t.y.Data()
-	for i := range d {
-		d[i] *= 1 - yd[i]*yd[i]
-	}
-	return dx
-}
-
 // Flatten reshapes any input to 1-D.
 type Flatten struct {
 	inShape []int
@@ -206,72 +163,4 @@ func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		return grad
 	}
 	return tensor.ViewInto(&f.back, grad, f.inShape...)
-}
-
-// Dropout randomly zeroes activations during training with probability
-// Rate, scaling survivors by 1/(1−Rate) (inverted dropout); it is the
-// identity at inference.
-type Dropout struct {
-	Rate float64
-	rng  *rand.Rand
-	keep []bool
-}
-
-// NewDropout returns a dropout layer driven by rng.
-func NewDropout(rate float64, rng *rand.Rand) *Dropout {
-	if rate < 0 || rate >= 1 {
-		panic(fmt.Sprintf("nn: dropout rate %g outside [0,1)", rate))
-	}
-	return &Dropout{Rate: rate, rng: rng}
-}
-
-// Name implements Layer.
-func (d *Dropout) Name() string { return fmt.Sprintf("dropout(%.2f)", d.Rate) }
-
-// Params implements Layer.
-func (d *Dropout) Params() []*Param { return nil }
-
-// OutShape implements Layer.
-func (d *Dropout) OutShape(in []int) ([]int, error) { return in, nil }
-
-// Forward implements Layer.
-//
-//fallvet:cold training-only regularisation layer: allocates its mask by design and is identity at inference
-func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train || d.Rate == 0 {
-		return x
-	}
-	y := x.Clone()
-	data := y.Data()
-	d.keep = make([]bool, len(data))
-	scale := 1 / (1 - d.Rate)
-	for i := range data {
-		if d.rng.Float64() >= d.Rate {
-			d.keep[i] = true
-			data[i] *= scale
-		} else {
-			data[i] = 0
-		}
-	}
-	return y
-}
-
-// Backward implements Layer.
-//
-//fallvet:cold training-only regularisation layer: clones the gradient by design
-func (d *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if d.keep == nil {
-		return grad
-	}
-	dx := grad.Clone()
-	data := dx.Data()
-	scale := 1 / (1 - d.Rate)
-	for i := range data {
-		if d.keep[i] {
-			data[i] *= scale
-		} else {
-			data[i] = 0
-		}
-	}
-	return dx
 }

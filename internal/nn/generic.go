@@ -38,13 +38,3 @@ func sigmoidInto[S tensor.Scalar](dst, x []S) {
 		dst[i] = S(1 / (1 + math.Exp(-float64(v))))
 	}
 }
-
-// tanhInto writes the hyperbolic tangent element-wise; same width
-// contract as sigmoidInto.
-//
-//fallvet:hotpath
-func tanhInto[S tensor.Scalar](dst, x []S) {
-	for i, v := range x {
-		dst[i] = S(math.Tanh(float64(v)))
-	}
-}

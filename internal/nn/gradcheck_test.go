@@ -121,10 +121,6 @@ func TestGradSigmoid(t *testing.T) {
 	numGradCheck(t, NewSigmoid(), []int{6}, 10, false)
 }
 
-func TestGradTanh(t *testing.T) {
-	numGradCheck(t, NewTanh(), []int{6}, 11, false)
-}
-
 func TestGradFlatten(t *testing.T) {
 	numGradCheck(t, NewFlatten(), []int{4, 3}, 12, false)
 }

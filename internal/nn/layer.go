@@ -2,7 +2,7 @@
 // for the paper's models: 1-D convolutions, max pooling, dense layers,
 // branch/concat composition (the paper's three-branch CNN), LSTM and
 // ConvLSTM recurrences, weighted binary cross-entropy with
-// class-imbalance bias initialisation, SGD and Adam optimizers, and a
+// class-imbalance bias initialisation, the Adam optimizer, and a
 // trainer with validation-based early stopping. There is no autograd:
 // every layer implements its own exact backward pass, each verified
 // against numerical differentiation in the test suite.

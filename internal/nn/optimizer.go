@@ -16,8 +16,8 @@ type Optimizer interface {
 // OptimizerState is a serialisable snapshot of an optimizer's internal
 // state, keyed by the order of the params slice it was taken against.
 // Moments holds one slot per internal per-parameter buffer (Adam: m
-// then v; SGD: velocity); a zero-length inner slice stands for a
-// buffer the optimizer has not materialised yet (equivalent to zeros).
+// then v); a zero-length inner slice stands for a buffer the
+// optimizer has not materialised yet (equivalent to zeros).
 type OptimizerState struct {
 	Kind    string
 	Step    int
@@ -27,7 +27,7 @@ type OptimizerState struct {
 
 // Checkpointable is an optimizer whose state can be captured into a
 // training checkpoint and restored so that a resumed run continues
-// bit-identically. Both built-in optimizers implement it.
+// bit-identically. Adam implements it.
 type Checkpointable interface {
 	Optimizer
 	// State snapshots the optimizer against the given parameter order.
@@ -67,66 +67,6 @@ func restoreMoment(params []*Param, m map[*Param][]float64, snap [][]float64) er
 		}
 		m[p] = append([]float64(nil), snap[i]...)
 	}
-	return nil
-}
-
-// SGD is stochastic gradient descent with classical momentum.
-type SGD struct {
-	LR, Momentum float64
-	velocity     map[*Param][]float64
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: map[*Param][]float64{}}
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*Param, scale float64) {
-	for _, p := range params {
-		v, ok := s.velocity[p]
-		if !ok {
-			v = make([]float64, p.W.Len())
-			s.velocity[p] = v
-		}
-		wd, gd := p.W.Data(), p.G.Data()
-		for i := range wd {
-			v[i] = s.Momentum*v[i] - s.LR*gd[i]*scale
-			wd[i] += v[i]
-		}
-	}
-}
-
-// ScaleLR implements LRScaler.
-func (s *SGD) ScaleLR(factor float64) { s.LR *= factor }
-
-// State implements Checkpointable.
-func (s *SGD) State(params []*Param) OptimizerState {
-	return OptimizerState{
-		Kind:    "sgd",
-		LR:      s.LR,
-		Moments: [][][]float64{snapshotMoment(params, s.velocity)},
-	}
-}
-
-// SetState implements Checkpointable.
-func (s *SGD) SetState(params []*Param, st OptimizerState) error {
-	if st.Kind != "sgd" {
-		return fmt.Errorf("nn: checkpoint holds %q optimizer state, trainer uses sgd", st.Kind)
-	}
-	if len(st.Moments) != 1 {
-		return fmt.Errorf("nn: sgd state has %d moment slots, want 1", len(st.Moments))
-	}
-	if st.LR <= 0 || math.IsInf(st.LR, 0) || math.IsNaN(st.LR) {
-		return fmt.Errorf("nn: sgd state has invalid learning rate %g", st.LR)
-	}
-	if s.velocity == nil {
-		s.velocity = map[*Param][]float64{}
-	}
-	if err := restoreMoment(params, s.velocity, st.Moments[0]); err != nil {
-		return err
-	}
-	s.LR = st.LR
 	return nil
 }
 

@@ -97,7 +97,6 @@ const (
 	headDense   headOp = iota // y = W·x + b, optionally with the following ReLU folded in
 	headReLU                  // a lone ReLU (not directly after a Dense)
 	headSigmoid               // logistic transfer
-	headTanh                  // hyperbolic tangent
 )
 
 // headStepOf is one precompiled step of the dense head. Dense layers
@@ -203,7 +202,7 @@ func NewStreamer(net *Network, cfg StreamConfig) (*Streamer, error) {
 
 // NewStreamerOf builds an incremental scorer at scalar width S for
 // net, which must be a Branch followed by a dense head
-// (Dense/ReLU/Sigmoid/Tanh/Flatten layers only) — the shape of every
+// (Dense/ReLU/Sigmoid/Flatten layers only) — the shape of every
 // CNN this repo builds. Other topologies (MLP, recurrent) return an
 // error; callers fall back to batch scoring. At S=float32 every branch
 // stack must additionally be canonical Conv1D→ReLU→MaxPool1D: the
@@ -280,7 +279,7 @@ func NewStreamerOf[S tensor.Scalar](net *Network, cfg StreamConfig) (*StreamerOf
 	hshape := []int{total}
 	for _, l := range layers {
 		switch l.(type) {
-		case *Dense, *ReLU, *Sigmoid, *Tanh, *Flatten:
+		case *Dense, *ReLU, *Sigmoid, *Flatten:
 		default:
 			return nil, fmt.Errorf("nn: streamer head cannot contain %s", l.Name())
 		}
@@ -324,8 +323,6 @@ func (s *StreamerOf[S]) buildHead(layers []Layer, width int) {
 			s.head = append(s.head, headStepOf[S]{op: headReLU, buf: make([]S, width)})
 		case *Sigmoid:
 			s.head = append(s.head, headStepOf[S]{op: headSigmoid, buf: make([]S, width)})
-		case *Tanh:
-			s.head = append(s.head, headStepOf[S]{op: headTanh, buf: make([]S, width)})
 		case *Flatten:
 			// identity on a 1-D head: no step
 		}
@@ -668,8 +665,6 @@ func (s *StreamerOf[S]) runHead(cur []S) S {
 			reluInto(st.buf, cur)
 		case headSigmoid:
 			sigmoidInto(st.buf, cur)
-		case headTanh:
-			tanhInto(st.buf, cur)
 		}
 		cur = st.buf
 	}

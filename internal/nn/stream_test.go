@@ -176,7 +176,7 @@ func TestStreamerRejectsUnsupported(t *testing.T) {
 	conv := NewNetwork(
 		NewBranch([][2]int{{0, 2}}, [][]Layer{{NewConv1D(2, 4, 3, rng), NewReLU(), NewMaxPool1D(2)}}),
 		NewDense(36, 4, rng),
-		NewTanh(),
+		NewReLU(),
 		NewMaxPool1D(2), // 2-D-only layer in the head
 		NewDense(2, 1, rng),
 		NewSigmoid(),

@@ -146,20 +146,6 @@ func TestTrainerDeterminism(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumConverges(t *testing.T) {
-	// Minimise f(w) = (w-3)² with SGD: gradient 2(w-3).
-	p := newParam("w", 1)
-	sgd := NewSGD(0.1, 0.9)
-	for i := 0; i < 400; i++ {
-		p.ZeroGrad()
-		p.G.Data()[0] = 2 * (p.W.Data()[0] - 3)
-		sgd.Step([]*Param{p}, 1)
-	}
-	if math.Abs(p.W.Data()[0]-3) > 1e-3 {
-		t.Fatalf("SGD converged to %g, want 3", p.W.Data()[0])
-	}
-}
-
 func TestAdamConverges(t *testing.T) {
 	p := newParam("w", 1)
 	p.W.Data()[0] = -4

@@ -3,6 +3,7 @@ package serve
 import (
 	"time"
 
+	"repro/internal/cascade"
 	"repro/internal/imu"
 )
 
@@ -24,6 +25,11 @@ type entry struct {
 	// deadline is when this entry's decision is due.
 	//fallvet:derived replay-log entry held in memory between snapshots and replayed live; never serialised
 	deadline time.Time
+	// ceiling is the tier ceiling the entry ran at, set when it is
+	// logged for replay: the breaker can move it between a snapshot
+	// and a crash.
+	//fallvet:derived replay-log entry held in memory between snapshots and replayed live; never serialised
+	ceiling cascade.Tier
 }
 
 // raw is the number of raw stream samples this entry advances the

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/cascade"
 	"repro/internal/imu"
@@ -163,6 +164,86 @@ func TestServeKillMidFallRestoresSameTrigger(t *testing.T) {
 		}
 		rt.Close()
 		checkLeak(t, leak)
+	}
+}
+
+// TestRestoreKeepsBreakerCeiling: the latency breaker demotes the
+// tier ceiling after the last snapshot, then the pipeline panics. The
+// restore must replay each logged entry at the ceiling it first ran
+// at and hand the faulting entry the breaker's current ceiling, so the
+// session continues exactly like one that never crashed: same decision
+// stream, same ceiling, same pipeline state.
+func TestRestoreKeepsBreakerCeiling(t *testing.T) {
+	const total = 400
+	run := func(crash bool) ([]cascade.Decision, *cascade.Cascade, *Session) {
+		clk := NewVirtualClock()
+		fired := false
+		rt := New(Config{
+			QueueLen:      512,
+			OutboxLen:     total,
+			SnapshotEvery: 256, // one snapshot, at 256, before the breaker moves
+			BreakerWindow: 8,
+			Deadline:      150 * time.Millisecond,
+			Now:           clk.Now,
+			PushHook: func(session int, pos uint64) {
+				if pos >= 260 {
+					clk.Advance(140 * time.Millisecond) // p99 ≥ 0.8 × 150 ms
+				}
+				if crash && pos == 300 && !fired {
+					fired = true
+					panic("killed after a breaker demotion")
+				}
+			},
+		})
+		c := newServeCascade(t)
+		s := rt.Open(c)
+		for i := 0; i < total; i++ {
+			acc, gyro := streamSample(i)
+			s.Push(acc, gyro)
+			s.Quiesce() // lock-step: the clock advances in stream order
+		}
+		ds := s.DrainDecisions(nil)
+		rt.Close()
+		if crash && !fired {
+			t.Fatal("kill hook never fired")
+		}
+		return ds, c, s
+	}
+
+	refDs, refC, refS := run(false)
+	gotDs, gotC, gotS := run(true)
+	if lvl := refS.BreakerLevel(); lvl != 2 {
+		t.Fatalf("fixture broken: reference breaker level %d, want 2", lvl)
+	}
+	if c := gotS.Counters(); c.Panics != 1 || c.Restarts != 1 || c.Snapshots != refS.Counters().Snapshots+1 {
+		t.Fatalf("Panics/Restarts/Snapshots = %d/%d/%d, want 1/1/%d",
+			c.Panics, c.Restarts, c.Snapshots, refS.Counters().Snapshots+1)
+	}
+	if gotS.BreakerLevel() != refS.BreakerLevel() {
+		t.Fatalf("breaker level %d after restore, reference %d", gotS.BreakerLevel(), refS.BreakerLevel())
+	}
+	if got, want := gotC.TierCeiling(), refC.TierCeiling(); got != want || want != cascade.TierThreshold {
+		t.Fatalf("tier ceiling %v after restore at breaker level %d, reference %v (want %v)",
+			got, gotS.BreakerLevel(), want, cascade.TierThreshold)
+	}
+	if len(gotDs) != len(refDs) {
+		t.Fatalf("%d decisions after restore, reference %d", len(gotDs), len(refDs))
+	}
+	for i := range refDs {
+		if gotDs[i] != refDs[i] {
+			t.Fatalf("decision %d diverged after restore:\n ref %+v\n got %+v", i, refDs[i], gotDs[i])
+		}
+	}
+	a, err := refC.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := gotC.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eq, err := cascade.SnapshotEqual(a, b); err != nil || !eq {
+		t.Fatalf("restored cascade state differs from the reference (err %v)", err)
 	}
 }
 

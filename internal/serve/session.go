@@ -276,11 +276,12 @@ func (s *Session) restartWithBackoff(e entry) (appliedOut, error) {
 
 // restoreReplay rebuilds the pipeline to the exact state it had
 // before the faulting entry: restore the last snapshot (or reset,
-// when none exists yet), replay every logged entry with emission
-// suppressed — consumers already saw those decisions — and finally
-// re-apply the faulting entry for real. The replay fires PushHook at
-// the historical positions, so a deterministic fault re-fires and
-// consumes restart attempts instead of looping forever.
+// when none exists yet), replay every logged entry at the tier
+// ceiling it first ran at, with emission suppressed — consumers
+// already saw those decisions — and finally re-apply the faulting
+// entry for real at the breaker's current ceiling. The replay fires
+// PushHook at the historical positions, so a deterministic fault
+// re-fires and consumes restart attempts instead of looping forever.
 func (s *Session) restoreReplay(cur entry) (appliedOut, error) {
 	if s.snapImg != nil {
 		if err := s.p.RestoreFresh(bytes.NewReader(s.snapImg)); err != nil {
@@ -299,6 +300,7 @@ func (s *Session) restoreReplay(cur entry) (appliedOut, error) {
 		if h := s.cfg.PushHook; h != nil {
 			h(s.ID, pos)
 		}
+		s.p.SetTierCeiling(le.ceiling)
 		if le.shedBefore > 0 {
 			s.p.PushMissing(le.shedBefore)
 		}
@@ -309,6 +311,7 @@ func (s *Session) restoreReplay(cur entry) (appliedOut, error) {
 		}
 		pos += uint64(le.raw())
 	}
+	s.p.SetTierCeiling(breakerCeiling(s.brk.level))
 	return s.applyOnce(cur, s.pos.Load())
 }
 
@@ -320,6 +323,7 @@ func (s *Session) commit(e entry, out appliedOut, start time.Time) time.Time {
 	raw := e.raw()
 	s.pos.Add(uint64(raw))
 	if s.cfg.SnapshotEvery > 0 {
+		e.ceiling = breakerCeiling(s.brk.level)
 		s.replayLog = append(s.replayLog, e)
 		s.sinceSnap += raw
 	}

@@ -4,6 +4,10 @@
 #   sh scripts/verify.sh
 #
 # Gates, in order of increasing cost:
+#   0. gofmt -l              — every tracked Go file outside testdata/
+#      is gofmt-clean (testdata/ holds analyzer fixtures, some of
+#      them deliberately odd); deleting struct fields re-aligns
+#      literals, which is where formatting drift slips in
 #   1. go build ./...        — everything compiles
 #   2. go vet ./...          — static analysis clean, twice: natively,
 #      and as GOARCH=arm64, which builds the portable simd_noasm.go in
@@ -70,6 +74,8 @@
 #   sh scripts/verify.sh 2>&1 | tee -a results_ci.txt
 set -e
 
+echo "== gofmt -l (tracked Go files outside testdata/)"
+test -z "$(gofmt -l $(git ls-files '*.go' | grep -v /testdata/))"
 echo "== go build ./..."
 go build ./...
 echo "== go vet ./..."
