@@ -729,3 +729,38 @@ func Benchmark_Serve_SessionPush_F32(b *testing.B) {
 	b.StopTimer()
 	rt.Close()
 }
+
+// ---- E27 (serving set-up): loading the cascade's networks ----
+
+// Benchmark_Network_Load loads the primary and fallback CNN images,
+// as every served session does at set-up, from a bytes.Reader into
+// networks built once beforehand, so model.New's initialisation is not
+// timed: the row is the envelope's SHA-256 check plus the weight
+// decoder, validation and copy.
+func Benchmark_Network_Load(b *testing.B) {
+	rng := rand.New(rand.NewSource(51))
+	var nets [2]*nn.Network
+	var imgs [2][]byte
+	for i, kind := range []model.Kind{model.KindCNN, model.KindCNNAccel} {
+		m, err := model.New(kind, model.Config{WindowSamples: 40}, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.Net.Save(&buf); err != nil {
+			b.Fatal(err)
+		}
+		nets[i], imgs[i] = m.Net, buf.Bytes()
+	}
+	var r bytes.Reader
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, net := range nets {
+			r.Reset(imgs[j])
+			if err := net.Load(&r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -2,8 +2,10 @@
 // subject-independent cross-validation metrics, optionally saving the
 // deployable weights. Data comes from CSV files written by
 // cmd/fallgen (falling back to in-process synthesis when none given).
+// The saved file is a verified falldet-detector artifact (magic FDMA),
+// which falldet.LoadSaved reads back.
 //
-//	falltrain -model cnn -window 400 -overlap 0.5 -csv worksite.csv -csv kfall.csv -save cnn.gob
+//	falltrain -model cnn -window 400 -overlap 0.5 -csv worksite.csv -csv kfall.csv -save cnn.fdma
 package main
 
 import (

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/artifact"
+	"repro/internal/model"
+	"repro/internal/nn"
 )
 
 func TestPrecisionStringParse(t *testing.T) {
@@ -44,22 +46,33 @@ func v1Envelope(kind string, shape []int, payload []byte) []byte {
 	return append(raw, sum[:]...)
 }
 
-// downgradeV1 rewrites a current envelope image in version-1 framing.
-func downgradeV1(t *testing.T, img []byte) []byte {
+// legacyNetImage frames a network's weights as every pre-bump writer
+// did: the gob payload of the "nn-float64-weights" kind (a frozen copy
+// of its struct), in version-1 framing with no declared shape.
+func legacyNetImage(t *testing.T, net *nn.Network) []byte {
 	t.Helper()
-	h, payload, err := artifact.Read(bytes.NewReader(img))
-	if err != nil {
+	var s struct {
+		Names   []string
+		Weights [][]float64
+	}
+	for _, p := range net.Params() {
+		s.Names = append(s.Names, p.Name)
+		s.Weights = append(s.Weights, p.W.Data())
+	}
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(&s); err != nil {
 		t.Fatal(err)
 	}
-	return v1Envelope(h.Kind, h.Shape, payload)
+	return v1Envelope("nn-float64-weights", nil, payload.Bytes())
 }
 
 // TestPreBumpDetectorLoads proves forward compatibility at the
 // deployment surface: a detector image written before the dtype field
-// existed — version-1 framing on the outer envelope AND on the nested
-// network envelope — still loads, as float64, with bit-identical
-// scores. Sampled truncations and bit flips of the legacy image must
-// still fail with a structured error, never a misdecoded detector.
+// existed — version-1 framing on the outer envelope, and inside it the
+// network as those builds wrote it, a gob payload in version-1 framing
+// — still loads, as float64, with bit-identical weights and scores.
+// Sampled truncations and bit flips of the legacy image must still
+// fail with a structured error, never a misdecoded detector.
 func TestPreBumpDetectorLoads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training skipped in -short")
@@ -76,8 +89,8 @@ func TestPreBumpDetectorLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rebuild the image as a pre-bump writer would have produced it:
-	// downgrade the nested network envelope inside the gob payload,
-	// then the outer detector envelope.
+	// the nested network as a legacy gob image, then the outer
+	// detector envelope in version-1 framing.
 	h, payload, err := artifact.Read(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +99,8 @@ func TestPreBumpDetectorLoads(t *testing.T) {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&s); err != nil {
 		t.Fatal(err)
 	}
-	s.Net = downgradeV1(t, s.Net)
+	net := det.model.(*model.NetModel).Net
+	s.Net = legacyNetImage(t, net)
 	var repacked bytes.Buffer
 	if err := gob.NewEncoder(&repacked).Encode(&s); err != nil {
 		t.Fatal(err)
@@ -97,9 +111,18 @@ func TestPreBumpDetectorLoads(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pre-bump image rejected: %v", err)
 	}
+	want, got := net.Snapshot(), loaded.model.(*model.NetModel).Net.Snapshot()
+	for i := range want {
+		for j := range want[i] {
+			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+				t.Fatalf("pre-bump tensor %d weight %d: %x, want %x", i, j,
+					math.Float64bits(got[i][j]), math.Float64bits(want[i][j]))
+			}
+		}
+	}
 	segs, _ := ExtractSegments(d, cfg)
 	for i := 0; i < 20; i++ {
-		if math.Abs(det.Score(segs[i].X)-loaded.Score(segs[i].X)) > 1e-12 {
+		if math.Float64bits(det.Score(segs[i].X)) != math.Float64bits(loaded.Score(segs[i].X)) {
 			t.Fatal("pre-bump detector scores differ")
 		}
 	}

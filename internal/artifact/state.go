@@ -8,14 +8,16 @@ import (
 
 // State codec: tiny append/consume helpers for the runtime-state
 // snapshots the serving layer takes of a live detector pipeline (DESIGN
-// §11). The encoding is deliberately dumb — fixed-width little-endian
-// fields in declaration order, no tags, no reflection — because the
-// decoder on the other side is the same build of the same struct and
-// the envelope (Write/Read) already carries versioning and a SHA-256
-// digest. The StateReader keeps a sticky error so decode call sites
-// stay linear: consume every field, check Err() once at the end; a
-// truncated or oversized payload surfaces as an error, never a panic
-// or a partially-applied restore.
+// §11), and for the weight images of package nn. The encoding is
+// deliberately dumb — fixed-width little-endian fields in declaration
+// order, no tags, no reflection — because the decoder on the other
+// side knows the layout (the same build of the same struct, or the
+// live network whose parameters the weights fill) and the envelope
+// (Write/Read) already carries versioning and a SHA-256 digest. The
+// StateReader keeps a sticky error so decode call sites stay linear:
+// consume every field, check Err() once at the end; a truncated or
+// oversized payload surfaces as an error, never a panic or a
+// partially-applied restore.
 
 // AppendUint64 appends v little-endian.
 func AppendUint64(dst []byte, v uint64) []byte {
@@ -75,6 +77,23 @@ func (r *StateReader) Uint64() uint64 {
 	v := binary.LittleEndian.Uint64(r.data[r.pos:])
 	r.pos += 8
 	return v
+}
+
+// Bytes consumes the next n bytes and returns them in place, capped so
+// an append by the caller cannot reach the bytes after them. n is
+// checked against what is left before anything is sliced, so a length
+// read from the payload can drive neither an allocation nor a panic.
+func (r *StateReader) Bytes(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if n < 0 || len(r.data)-r.pos < n {
+		r.fail("artifact: truncated state: need %d bytes at offset %d, have %d", n, r.pos, len(r.data)-r.pos)
+		return nil
+	}
+	b := r.data[r.pos : r.pos+n : r.pos+n]
+	r.pos += n
+	return b
 }
 
 // Int consumes a signed integer written by AppendInt.

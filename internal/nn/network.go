@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -133,77 +134,146 @@ func (n *Network) Restore(snap [][]float64) {
 	}
 }
 
-// savedNet is the gob wire format: weights only, keyed by order. The
-// architecture itself is code, so loading requires an identically
-// constructed network. On disk the gob payload rides inside the
-// verified envelope of package artifact (magic, version, kind,
-// SHA-256), so a truncated or bit-flipped file is rejected before the
-// payload is decoded.
-type savedNet struct {
-	Names   []string
-	Weights [][]float64
-}
-
 // NetworkArtifactKind tags float-weight images in the artifact
-// envelope.
-const NetworkArtifactKind = "nn-float64-weights"
+// envelope. The payload is weights only, keyed by order: the
+// architecture itself is code, so loading requires an identically
+// constructed network. It is laid out with the state codec of package
+// artifact, every integer and value a little-endian uint64:
+//
+//	tensorCount | per tensor: nameLen | name | valueCount | value bits...
+//
+// The envelope (magic, version, kind, SHA-256) is verified before a
+// payload byte is read, so a truncated or bit-flipped file never
+// reaches the decoder.
+const NetworkArtifactKind = "nn-float64-weights-le"
+
+// legacyNetworkArtifactKind tags the images earlier builds wrote: the
+// same weights as a gob-encoded savedNet. Load still reads them, since
+// networks, detectors and bundles saved by those builds stay on disk;
+// Save never writes them.
+const legacyNetworkArtifactKind = "nn-float64-weights"
 
 // Save serialises the network's weights in the verified artifact
 // envelope.
 func (n *Network) Save(w io.Writer) error {
 	ps := n.Params()
-	s := savedNet{}
+	size := 8
 	for _, p := range ps {
-		s.Names = append(s.Names, p.Name)
-		s.Weights = append(s.Weights, p.W.Data())
+		size += 16 + len(p.Name) + 8*p.W.Len()
 	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&s); err != nil {
-		return fmt.Errorf("nn: encoding network: %w", err)
+	payload := artifact.AppendInt(make([]byte, 0, size), len(ps))
+	for _, p := range ps {
+		payload = appendTensor(payload, p.Name, p.W.Data())
 	}
-	return artifact.Write(w, NetworkArtifactKind, nil, payload.Bytes())
+	return artifact.Write(w, NetworkArtifactKind, nil, payload)
+}
+
+// appendTensor appends one tensor of the flat weight layout.
+func appendTensor(dst []byte, name string, vals []float64) []byte {
+	dst = artifact.AppendInt(dst, len(name))
+	dst = append(dst, name...)
+	dst = artifact.AppendInt(dst, len(vals))
+	for _, v := range vals {
+		dst = artifact.AppendFloat(dst, v)
+	}
+	return dst
 }
 
 // Load restores weights saved by Save into an identically shaped
 // network. The envelope's digest and kind are verified first, then
-// every tensor's name, size and finiteness — a corrupt image fails
-// loudly, it never loads.
+// every tensor's name, size and finiteness, and the payload must be
+// consumed exactly — a corrupt image fails loudly, it never loads, and
+// a failed Load leaves every weight as it was. Images of the legacy
+// gob kind are read too.
 func (n *Network) Load(r io.Reader) error {
 	h, payload, err := artifact.Read(r)
 	if err != nil {
 		return fmt.Errorf("nn: %w", err)
 	}
-	if err := artifact.CheckKind(h, NetworkArtifactKind); err != nil {
-		return fmt.Errorf("nn: %w", err)
-	}
-	var s savedNet
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&s); err != nil {
-		return fmt.Errorf("nn: decoding network: %w", err)
+	switch h.Kind {
+	case NetworkArtifactKind:
+	case legacyNetworkArtifactKind:
+		if payload, err = legacyPayload(payload); err != nil {
+			return err
+		}
+	default:
+		return fmt.Errorf("nn: %w", artifact.CheckKind(h, NetworkArtifactKind))
 	}
 	ps := n.Params()
-	if len(s.Weights) != len(ps) {
-		return fmt.Errorf("nn: saved network has %d tensors, want %d", len(s.Weights), len(ps))
+	if err := readWeights(payload, ps, false); err != nil {
+		return err
 	}
-	if len(s.Names) != len(s.Weights) {
-		return fmt.Errorf("nn: saved network has %d names for %d tensors", len(s.Names), len(s.Weights))
+	// All tensors validated; only now mutate the live network.
+	return readWeights(payload, ps, true)
+}
+
+// readWeights walks a flat weight payload against the network's
+// parameters: the tensor count, each tensor's name and value count
+// must match, and the payload must be consumed exactly. Without
+// commit it also checks that every value is finite and writes
+// nothing; with commit it copies the values into the parameters, so
+// it must only commit a payload that has validated. It decodes in
+// place: nothing it allocates is sized by the payload.
+func readWeights(payload []byte, ps []*Param, commit bool) error {
+	r := artifact.NewStateReader(payload)
+	if c := r.Int(); r.Err() == nil && c != len(ps) {
+		return fmt.Errorf("nn: saved network has %d tensors, want %d", c, len(ps))
 	}
 	for i, p := range ps {
-		if s.Names[i] != p.Name {
-			return fmt.Errorf("nn: saved tensor %d is %q, want %q", i, s.Names[i], p.Name)
+		name := r.Bytes(r.Int())
+		if r.Err() == nil && string(name) != p.Name {
+			// The saved name is input: quote at most 64 bytes of it.
+			return fmt.Errorf("nn: saved tensor %d is %.64q, want %q", i, name, p.Name)
 		}
-		if len(s.Weights[i]) != p.W.Len() {
-			return fmt.Errorf("nn: saved tensor %q has %d values, want %d",
-				p.Name, len(s.Weights[i]), p.W.Len())
+		dst := p.W.Data()
+		if c := r.Int(); r.Err() == nil && c != len(dst) {
+			return fmt.Errorf("nn: saved tensor %q has %d values, want %d", p.Name, c, len(dst))
 		}
-		for _, v := range s.Weights[i] {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
+		raw := r.Bytes(8 * len(dst))
+		if r.Err() != nil {
+			break
+		}
+		if commit {
+			for j := range dst {
+				dst[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
+			}
+			continue
+		}
+		for ; len(raw) >= 8; raw = raw[8:] {
+			if binary.LittleEndian.Uint64(raw)&expMask == expMask { // NaN or ±Inf
 				return fmt.Errorf("nn: saved tensor %q holds a non-finite weight", p.Name)
 			}
 		}
 	}
-	// All tensors validated; only now mutate the live network.
-	for i, p := range ps {
-		copy(p.W.Data(), s.Weights[i])
+	if err := r.Close(); err != nil {
+		return fmt.Errorf("nn: decoding network: %w", err)
 	}
 	return nil
+}
+
+// expMask selects a float64's exponent bits, all set only in NaN and
+// ±Inf.
+const expMask = 0x7ff0000000000000
+
+// savedNet is the gob payload of legacyNetworkArtifactKind images.
+type savedNet struct {
+	Names   []string
+	Weights [][]float64
+}
+
+// legacyPayload decodes a legacy gob image and re-lays it in the flat
+// layout, so readWeights validates both kinds alike.
+func legacyPayload(gobPayload []byte) ([]byte, error) {
+	var s savedNet
+	if err := gob.NewDecoder(bytes.NewReader(gobPayload)).Decode(&s); err != nil {
+		return nil, fmt.Errorf("nn: decoding network: %w", err)
+	}
+	if len(s.Names) != len(s.Weights) {
+		return nil, fmt.Errorf("nn: saved network has %d names for %d tensors", len(s.Names), len(s.Weights))
+	}
+	payload := artifact.AppendInt(nil, len(s.Weights))
+	for i, w := range s.Weights {
+		payload = appendTensor(payload, s.Names[i], w)
+	}
+	return payload, nil
 }

@@ -11,7 +11,7 @@ import (
 // streamTestNet builds a branch CNN in the paper's shape: per-branch
 // Conv1D(w→filters, kernel)→ReLU→MaxPool1D(pool) stacks over the given
 // column ranges, then Dense(→16)→ReLU→Dense(→1)→Sigmoid.
-func streamTestNet(t *testing.T, window int, cols [][2]int, filters, kernel, pool int, rng *rand.Rand) *Network {
+func streamTestNet(t testing.TB, window int, cols [][2]int, filters, kernel, pool int, rng *rand.Rand) *Network {
 	t.Helper()
 	stacks := make([][]Layer, len(cols))
 	total := 0

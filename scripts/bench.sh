@@ -47,7 +47,7 @@ if [ "$1" = "-short" ]; then
     COUNT=2
 fi
 
-PATTERN='Benchmark_Table3_Inference_|Benchmark_Edge_FloatInference|Benchmark_Edge_QuantizedInference|Benchmark_Edge_StreamingPush|Benchmark_Parallel_Fit_|Benchmark_Cascade_Push|Benchmark_Serve_SessionPush|Benchmark_Kernel_'
+PATTERN='Benchmark_Table3_Inference_|Benchmark_Edge_FloatInference|Benchmark_Edge_QuantizedInference|Benchmark_Edge_StreamingPush|Benchmark_Parallel_Fit_|Benchmark_Cascade_Push|Benchmark_Serve_SessionPush|Benchmark_Kernel_|Benchmark_Network_Load'
 # The end-to-end rows live in the root package, the kernel rows next
 # to the kernels they measure. -p 1 runs the two test binaries one
 # after the other: side by side they would time each other's load.

@@ -29,7 +29,14 @@
 #      the trainer and evaluation harness fan out across workers)
 #   6. fuzz smoke            — 10 s each on the hostile-input fuzz
 #      targets: FuzzQuantLoad (model-image loader must never panic or
-#      over-allocate on arbitrary bytes), FuzzDetectorPush (the
+#      over-allocate on arbitrary bytes), FuzzNetworkLoad (the float
+#      network's weight decoder, reached past a valid digest, must
+#      never panic, never allocate by a claimed length, and either
+#      load an image that re-saves byte for byte or reject it with
+#      every weight untouched), FuzzPackedKernels (the simd assembly
+#      against the scalar kernels bit for bit, on decoded shapes, zero
+#      counts and raw value bits, on the route the host takes),
+#      FuzzDetectorPush (the
 #      streaming pipeline must survive arbitrary sensor input),
 #      FuzzCascadePush (the cascade's decision guarantee — a decision
 #      every stride, one-step tier moves — under arbitrary faults) and
@@ -91,6 +98,10 @@ echo "== go test -race ./..."
 go test -race ./...
 echo "== fuzz smoke: FuzzQuantLoad (10s)"
 go test ./internal/quant -run='^$' -fuzz='^FuzzQuantLoad$' -fuzztime=10s
+echo "== fuzz smoke: FuzzNetworkLoad (10s)"
+go test ./internal/nn -run='^$' -fuzz='^FuzzNetworkLoad$' -fuzztime=10s
+echo "== fuzz smoke: FuzzPackedKernels (10s)"
+go test ./internal/nn -run='^$' -fuzz='^FuzzPackedKernels$' -fuzztime=10s
 echo "== fuzz smoke: FuzzDetectorPush (10s)"
 go test ./internal/edge -run='^$' -fuzz='^FuzzDetectorPush$' -fuzztime=10s
 echo "== fuzz smoke: FuzzCascadePush (10s)"
