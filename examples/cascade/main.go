@@ -144,17 +144,15 @@ func cascaded(trial *dataset.Trial, death int) {
 
 // report prints the outcome line shared by both replays.
 func report(trial *dataset.Trial, trigger int, by string) {
-	switch {
-	case trigger < 0:
-		fmt.Println("  outcome: no trigger — the fall is MISSED")
-	default:
-		lead := float64(trial.Impact-trigger) * 1000 / dataset.SampleRate
+	if o := trial.Outcome(trigger); o.Triggered {
 		verdict := "too late"
-		if lead >= dataset.AirbagInflationMS {
+		if o.InTime {
 			verdict = "in time"
 		}
 		fmt.Printf("  outcome: triggered at sample %d%s, %.0f ms before impact (%s)\n",
-			trigger, by, lead, verdict)
+			trigger, by, o.LeadTimeMS, verdict)
+	} else {
+		fmt.Println("  outcome: no trigger — the fall is MISSED")
 	}
 	fmt.Println()
 }

@@ -71,28 +71,12 @@ func main() {
 func replay(det *edge.Detector, trial *dataset.Trial, name string, inj fault.Injector) {
 	fmt.Printf("== %s ==\n", name)
 	det.Reset()
-	if inj != nil {
-		inj.Reset()
-	}
 	last := edge.HealthHealthy
 	trigger := -1
-	for i, s := range trial.Samples {
-		var r edge.Result
-		switch {
-		case inj == nil:
-			r = det.Push(s.Acc, s.Gyro)
-		default:
-			cs, eff := inj.Apply(s)
-			switch eff {
-			case fault.Drop:
-				r = det.PushMissing(1)
-			case fault.Repeat:
-				det.Push(cs.Acc, cs.Gyro)
-				r = det.Push(cs.Acc, cs.Gyro)
-			case fault.Pass:
-				r = det.Push(cs.Acc, cs.Gyro)
-			}
-		}
+	// observe notes the first trigger but reports none back to the
+	// replay, so the whole trial streams: health keeps being logged
+	// after the airbag fires.
+	observe := func(i int, r edge.Result) bool {
 		if r.Health != last {
 			fmt.Printf("  sample %3d: health %s → %s\n", i, last, r.Health)
 			last = r.Health
@@ -100,21 +84,23 @@ func replay(det *edge.Detector, trial *dataset.Trial, name string, inj fault.Inj
 		if r.Triggered && trigger < 0 {
 			trigger = i
 		}
+		return false
 	}
+	fault.Replay(trial.Samples, inj,
+		func(i int, s imu.Sample) bool { return observe(i, det.Push(s.Acc, s.Gyro)) },
+		func(i int) bool { return observe(i, det.PushMissing(1)) })
 	st := det.Stats()
 	fmt.Printf("  faults absorbed: %d quarantined, %d missing (%d bridged, %d holdoffs), %d NaN scores\n",
 		st.Quarantined, st.Missing, st.Bridged, st.Holdoffs, st.BadScores)
-	switch {
-	case trigger < 0:
-		fmt.Println("  outcome: no trigger")
-	default:
-		lead := float64(trial.Impact-trigger) * 1000 / dataset.SampleRate
+	if o := trial.Outcome(trigger); o.Triggered {
 		verdict := "too late"
-		if lead >= dataset.AirbagInflationMS {
+		if o.InTime {
 			verdict = "in time"
 		}
 		fmt.Printf("  outcome: triggered at sample %d, %.0f ms before impact (%s)\n",
-			trigger, lead, verdict)
+			trigger, o.LeadTimeMS, verdict)
+	} else {
+		fmt.Println("  outcome: no trigger")
 	}
 	fmt.Println()
 }

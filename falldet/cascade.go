@@ -8,7 +8,6 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/cascade"
 	"repro/internal/edge"
-	"repro/internal/model"
 )
 
 // Cascade surface, re-exported so degradation-aware deployments can
@@ -91,14 +90,7 @@ func (cd *CascadeDetector) Fallback() *Detector { return cd.fallback }
 // Both models' inference costs are sized against the deployment device
 // so the supervisor's cycle budget is enforced from construction.
 func (cd *CascadeDetector) Stream() (*StreamCascade, error) {
-	return cd.streamWith(cd.primary.model, cd.fallback.model)
-}
-
-// streamWith builds the cascade around explicit classifiers — the
-// hook that gives each robustness-sweep worker its own pipeline over
-// cloned models.
-func (cd *CascadeDetector) streamWith(primary, fallback model.Classifier) (*StreamCascade, error) {
-	return cascadeStreamAt[float64](cd, primary, fallback)
+	return cascadeStreamAt[float64](cd, cd.primary.model, cd.fallback.model)
 }
 
 // EvaluateRobustness is the cascade counterpart of
@@ -108,10 +100,8 @@ func (cd *CascadeDetector) streamWith(primary, fallback model.Classifier) (*Stre
 // what the cascade buys under each fault — the per-point TierEvals and
 // TierTriggers show which tier did the work.
 func (cd *CascadeDetector) EvaluateRobustness(d *Dataset, cfg RobustnessConfig) (*RobustnessReport, error) {
-	// Worker 0 reuses the detectors' own networks; the others score on
-	// weight-identical clones (the streaming pipeline and the
-	// activation scratch are single-goroutine). See
-	// evalCascadeRobustnessAt.
+	// Worker 0 reuses the members' own networks, the others score on
+	// clones; see perWorker.
 	if cfg.Precision == PrecisionF32 {
 		return evalCascadeRobustnessAt[float32](cd, d, cfg)
 	}

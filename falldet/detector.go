@@ -108,17 +108,7 @@ func (det *Detector) Evaluate(segs []Segment) nn.Confusion {
 
 // Stream wraps the detector in the real-time on-device pipeline.
 func (det *Detector) Stream() (*StreamDetector, error) {
-	return det.streamWith(det.model)
-}
-
-// streamWith builds the streaming pipeline around an explicit
-// classifier — the hook that lets a parallel robustness sweep give
-// each worker its own pipeline over a cloned model.
-func (det *Detector) streamWith(clf model.Classifier) (*StreamDetector, error) {
-	// det.cfg went through withDefaults, so Threshold is the resolved
-	// value and a literal 0 is intentional — streamAt spells it in the
-	// sentinel form edge expects (its own zero value means "unset").
-	return streamAt[float64](det, clf)
+	return streamAt[float64](det, det.model)
 }
 
 // Deployment is the §IV-C on-edge report for a quantized detector.

@@ -58,31 +58,28 @@ func ParsePrecision(s string) (Precision, error) {
 // here, and every subsequent window scores in single precision; the
 // float64 training artefact is untouched.
 func streamAt[S tensor.Scalar](det *Detector, clf model.Classifier) (*edge.DetectorOf[S], error) {
-	thr := det.cfg.Threshold
-	if thr == 0 {
-		thr = edge.ThresholdAlways
+	return edge.NewDetectorOf[S](clf, det.edgeConfig())
+}
+
+// edgeConfig is the detector's streaming geometry and threshold in
+// edge's form. det.cfg went through withDefaults, so Threshold is the
+// resolved value and a literal 0 is intentional: it is spelled in the
+// sentinel form edge expects (its own zero value means "unset").
+func (det *Detector) edgeConfig() edge.DetectorConfig {
+	ec := edge.DetectorConfig{WindowMS: det.cfg.WindowMS, Overlap: det.cfg.Overlap, Threshold: det.cfg.Threshold}
+	if ec.Threshold == 0 {
+		ec.Threshold = edge.ThresholdAlways
 	}
-	return edge.NewDetectorOf[S](clf, edge.DetectorConfig{
-		WindowMS:  det.cfg.WindowMS,
-		Overlap:   det.cfg.Overlap,
-		Threshold: thr,
-	})
+	return ec
 }
 
 // cascadeStreamAt builds the supervised cascade at compiled width S.
 // At float32 both CNN tiers lower their weights at construction; the
 // threshold floor and the supervisor are width-independent.
 func cascadeStreamAt[S tensor.Scalar](cd *CascadeDetector, primary, fallback model.Classifier) (*cascade.CascadeOf[S], error) {
-	winSamples := cd.primary.cfg.WindowMS * dataset.SampleRate / 1000
-	shape := []int{winSamples, imu.NumChannels}
-	cfg := cascade.Config{
-		WindowMS: cd.primary.cfg.WindowMS,
-		Overlap:  cd.primary.cfg.Overlap,
-	}
-	cfg.Threshold = cd.primary.cfg.Threshold
-	if cfg.Threshold == 0 {
-		cfg.Threshold = edge.ThresholdAlways
-	}
+	ec := cd.primary.edgeConfig()
+	shape := []int{ec.WindowMS * dataset.SampleRate / 1000, imu.NumChannels}
+	cfg := cascade.Config{WindowMS: ec.WindowMS, Overlap: ec.Overlap, Threshold: ec.Threshold}
 	if nm, ok := cd.primary.model.(*model.NetModel); ok {
 		cost, err := edge.ModelCost(nm.Net, shape)
 		if err != nil {
@@ -102,21 +99,10 @@ func cascadeStreamAt[S tensor.Scalar](cd *CascadeDetector, primary, fallback mod
 
 // evalRobustnessAt is EvaluateRobustness compiled at width S.
 func evalRobustnessAt[S tensor.Scalar](det *Detector, d *Dataset, cfg RobustnessConfig) (*RobustnessReport, error) {
-	w := cfg.Workers
-	if w < 1 {
-		w = 1
-	}
-	dets := make([]*edge.DetectorOf[S], w)
-	for i := range dets {
-		clf := model.Classifier(det.model)
-		if nm, ok := det.model.(*model.NetModel); ok && i > 0 {
-			clf = nm.Clone()
-		}
-		s, err := streamAt[S](det, clf)
-		if err != nil {
-			return nil, err
-		}
-		dets[i] = s
+	dets, err := perWorker(cfg.Workers, []model.Classifier{det.model},
+		func(m []model.Classifier) (*edge.DetectorOf[S], error) { return streamAt[S](det, m[0]) })
+	if err != nil {
+		return nil, err
 	}
 	return eval.EvaluateRobustnessParallel(dets, d.Trials, cfg.Kinds, cfg.Severities, cfg.Seed), nil
 }
@@ -124,27 +110,37 @@ func evalRobustnessAt[S tensor.Scalar](det *Detector, d *Dataset, cfg Robustness
 // evalCascadeRobustnessAt is CascadeDetector.EvaluateRobustness
 // compiled at width S.
 func evalCascadeRobustnessAt[S tensor.Scalar](cd *CascadeDetector, d *Dataset, cfg RobustnessConfig) (*RobustnessReport, error) {
-	w := cfg.Workers
-	if w < 1 {
-		w = 1
+	cs, err := perWorker(cfg.Workers, []model.Classifier{cd.primary.model, cd.fallback.model},
+		func(m []model.Classifier) (*cascade.CascadeOf[S], error) { return cascadeStreamAt[S](cd, m[0], m[1]) })
+	if err != nil {
+		return nil, err
 	}
-	cs := make([]*cascade.CascadeOf[S], w)
-	for i := range cs {
-		primary := model.Classifier(cd.primary.model)
-		fallback := model.Classifier(cd.fallback.model)
+	return eval.EvaluateCascadeRobustnessParallel(cs, d.Trials, cfg.Kinds, cfg.Severities, cfg.Seed), nil
+}
+
+// perWorker builds one sweep pipeline per worker (at least one).
+// Worker 0 scores on the given models; the others on weight-identical
+// clones of every network model, since the streaming pipeline and the
+// network's activation scratch are single-goroutine. Threshold models
+// are stateless at scoring time and are shared.
+func perWorker[P any](workers int, models []model.Classifier, build func([]model.Classifier) (P, error)) ([]P, error) {
+	out := make([]P, max(workers, 1))
+	for i := range out {
+		m := models
 		if i > 0 {
-			if nm, ok := cd.primary.model.(*model.NetModel); ok {
-				primary = nm.Clone()
-			}
-			if nm, ok := cd.fallback.model.(*model.NetModel); ok {
-				fallback = nm.Clone()
+			m = make([]model.Classifier, len(models))
+			for j, clf := range models {
+				m[j] = clf
+				if nm, ok := clf.(*model.NetModel); ok {
+					m[j] = nm.Clone()
+				}
 			}
 		}
-		c, err := cascadeStreamAt[S](cd, primary, fallback)
+		p, err := build(m)
 		if err != nil {
 			return nil, err
 		}
-		cs[i] = c
+		out[i] = p
 	}
-	return eval.EvaluateCascadeRobustnessParallel(cs, d.Trials, cfg.Kinds, cfg.Severities, cfg.Seed), nil
+	return out, nil
 }

@@ -71,9 +71,8 @@ type RobustnessConfig struct {
 // passing sweep also certifies zero NaN probabilities under NaN-burst
 // and dropout faults.
 func (det *Detector) EvaluateRobustness(d *Dataset, cfg RobustnessConfig) (*RobustnessReport, error) {
-	// Worker 0 reuses the detector's own network; the others score on
-	// weight-identical clones (threshold models are stateless at
-	// scoring time and can be shared). See evalRobustnessAt.
+	// Worker 0 reuses the detector's own network, the others score on
+	// clones; see perWorker.
 	if cfg.Precision == PrecisionF32 {
 		return evalRobustnessAt[float32](det, d, cfg)
 	}

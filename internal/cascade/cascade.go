@@ -147,19 +147,12 @@ func NewOf[S tensor.Scalar](primary, fallback model.Classifier, cfg Config) (*Ca
 	if err != nil {
 		return nil, err
 	}
-	thr := cfg.Threshold
-	switch {
-	case thr == 0:
-		thr = edge.DefaultThreshold
-	case thr < 0:
-		thr = 0
-	}
 	dev := edge.STM32F722()
 	c := &CascadeOf[S]{
 		det:       det,
 		primary:   primary,
 		fallback:  fallback,
-		threshold: thr,
+		threshold: det.Threshold,
 		t2:        newTier2(),
 		budget:    dev.ClockHz / dataset.SampleRate,
 	}
@@ -495,14 +488,10 @@ func (t *tier2) score() float64 {
 	return 1 / (1 + math.Exp(-margin))
 }
 
-// TrialSim is the outcome of replaying one trial through the cascade,
-// mirroring edge.TrialSim with per-tier decision accounting.
+// TrialSim is the outcome of replaying one trial through the cascade:
+// edge.TrialSim's airbag verdict plus per-tier decision accounting.
 type TrialSim struct {
-	Triggered     bool
-	TriggerSample int
-	LeadTimeMS    float64
-	InTime        bool
-	FalseAlarm    bool
+	dataset.Outcome
 	// TriggerTier is the tier whose decision fired (valid when
 	// Triggered).
 	TriggerTier Tier
@@ -518,45 +507,18 @@ func (c *CascadeOf[S]) Simulate(t *dataset.Trial) TrialSim {
 
 // SimulateFaulty replays a trial through the cascade with a fault
 // injector between the recorded sensor and the pipeline, exactly as
-// edge.Detector.SimulateFaulty does: drops become missing samples,
-// repeats are pushed twice, corruption is pushed as-is. The replay
-// stops at the first trigger.
+// edge.Detector.SimulateFaulty does (see fault.Replay): drops become
+// missing samples, repeats are pushed twice, corruption is pushed
+// as-is. The replay stops at the first trigger.
 func (c *CascadeOf[S]) SimulateFaulty(t *dataset.Trial, inj fault.Injector) TrialSim {
 	c.Reset()
-	if inj != nil {
-		inj.Reset()
-	}
-	sim := TrialSim{TriggerSample: -1}
-	for i, s := range t.Samples {
-		var d Decision
-		if inj == nil {
-			d = c.Push(s.Acc, s.Gyro)
-		} else {
-			cs, eff := inj.Apply(s)
-			switch eff {
-			case fault.Drop:
-				d = c.PushMissing(1)
-			case fault.Repeat:
-				c.Push(cs.Acc, cs.Gyro)
-				d = c.Push(cs.Acc, cs.Gyro)
-			case fault.Pass:
-				d = c.Push(cs.Acc, cs.Gyro)
-			}
-		}
-		if d.Triggered && sim.TriggerSample < 0 {
-			sim.Triggered = true
-			sim.TriggerSample = i
-			sim.TriggerTier = d.Tier
-			if !t.IsFall() {
-				sim.FalseAlarm = true
-			}
-			break
-		}
-	}
-	sim.TierEvals = c.tierEvals
-	if t.IsFall() && sim.Triggered {
-		sim.LeadTimeMS = float64(t.Impact-sim.TriggerSample) * 1000 / dataset.SampleRate
-		sim.InTime = sim.LeadTimeMS >= dataset.AirbagInflationMS
+	var last Decision
+	trigger := fault.Replay(t.Samples, inj,
+		func(_ int, s imu.Sample) bool { last = c.Push(s.Acc, s.Gyro); return last.Triggered },
+		func(int) bool { last = c.PushMissing(1); return last.Triggered })
+	sim := TrialSim{Outcome: t.Outcome(trigger), TierEvals: c.tierEvals}
+	if sim.Triggered {
+		sim.TriggerTier = last.Tier
 	}
 	return sim
 }

@@ -91,6 +91,39 @@ func (t *Trial) TruncatedFallEnd() int {
 	return end
 }
 
+// Outcome is the airbag verdict on one replayed trial.
+type Outcome struct {
+	// Triggered is true when the detector fired at least once.
+	Triggered bool
+	// TriggerSample is the first firing sample (-1 when not fired).
+	TriggerSample int
+	// LeadTimeMS is the margin between trigger and impact for fall
+	// trials; the airbag needs ≥ AirbagInflationMS.
+	LeadTimeMS float64
+	// InTime is true when a fall was detected with enough lead time
+	// for full inflation before impact.
+	InTime bool
+	// FalseAlarm is true when the detector fired during an ADL trial.
+	FalseAlarm bool
+}
+
+// Outcome judges a replay whose first trigger was at sample trigger
+// (negative when the detector never fired) against the airbag
+// deadline: a fall is caught in time when the trigger precedes the
+// annotated impact by at least AirbagInflationMS, and any trigger on
+// an ADL trial is a false alarm.
+func (t *Trial) Outcome(trigger int) Outcome {
+	if trigger < 0 {
+		return Outcome{TriggerSample: -1}
+	}
+	o := Outcome{Triggered: true, TriggerSample: trigger, FalseAlarm: !t.IsFall()}
+	if t.IsFall() {
+		o.LeadTimeMS = float64(t.Impact-trigger) * 1000 / SampleRate
+		o.InTime = o.LeadTimeMS >= AirbagInflationMS
+	}
+	return o
+}
+
 // Validate performs structural checks on the trial.
 func (t *Trial) Validate() error {
 	if len(t.Samples) == 0 {

@@ -182,3 +182,31 @@ func TestAirbagConstants(t *testing.T) {
 		t.Fatalf("150 ms at 100 Hz must be 15 samples, got %d", AirbagInflationSamples)
 	}
 }
+
+// TestTrialOutcome pins the airbag deadline at its boundaries.
+func TestTrialOutcome(t *testing.T) {
+	fall := mkTrial(1, 30, 200, true) // impact at sample 150
+	adl := mkTrial(1, 6, 200, false)
+	cases := []struct {
+		name    string
+		trial   *Trial
+		trigger int
+		want    Outcome
+	}{
+		{"exactly the inflation time is in time", &fall, fall.Impact - 15,
+			Outcome{Triggered: true, TriggerSample: 135, LeadTimeMS: 150, InTime: true}},
+		{"one sample short is too late", &fall, fall.Impact - 14,
+			Outcome{Triggered: true, TriggerSample: 136, LeadTimeMS: 140}},
+		{"a trigger at impact has no lead", &fall, fall.Impact,
+			Outcome{Triggered: true, TriggerSample: 150}},
+		{"a missed fall", &fall, -1, Outcome{TriggerSample: -1}},
+		{"an ADL trigger is a false alarm", &adl, 40,
+			Outcome{Triggered: true, TriggerSample: 40, FalseAlarm: true}},
+		{"a quiet ADL", &adl, -1, Outcome{TriggerSample: -1}},
+	}
+	for _, tc := range cases {
+		if got := tc.trial.Outcome(tc.trigger); got != tc.want {
+			t.Errorf("%s: Outcome(%d) = %+v, want %+v", tc.name, tc.trigger, got, tc.want)
+		}
+	}
+}

@@ -714,24 +714,7 @@ func (d *DetectorOf[S]) maybeEvaluate() Result {
 
 // TrialSim is the outcome of replaying one trial through the detector
 // with an airbag attached.
-type TrialSim struct {
-	// Triggered is true when the detector fired at least once.
-	Triggered bool
-	// TriggerSample is the first firing sample (-1 when not fired).
-	TriggerSample int
-	// LeadTimeMS is the margin between trigger and impact for fall
-	// trials; the airbag needs ≥ AirbagInflationMS.
-	LeadTimeMS float64
-	// InTime is true when a fall was detected with enough lead time
-	// for full inflation before impact.
-	InTime bool
-	// FalseAlarm is true when the detector fired during an ADL trial.
-	FalseAlarm bool
-	// Evals counts completed classifier evaluations before the replay
-	// ended (at trigger or end of trial) — telemetry for how blind a
-	// fault condition left the pipeline.
-	Evals int
-}
+type TrialSim = dataset.Outcome
 
 // Simulate replays a trial sample by sample and evaluates the airbag
 // deadline: for falls, the detector must fire at least
@@ -741,48 +724,14 @@ func (d *DetectorOf[S]) Simulate(t *dataset.Trial) TrialSim {
 }
 
 // SimulateFaulty replays a trial through the detector with a fault
-// injector sitting between the recorded sensor and the pipeline: a
-// dropped sample becomes a PushMissing gap, a repeated sample is
-// pushed twice, everything else is pushed as (possibly corrupted)
-// data. A nil injector replays the clean trial. The injector is Reset
-// first, so replays are deterministic.
+// injector sitting between the recorded sensor and the pipeline (see
+// fault.Replay): a dropped sample becomes a PushMissing gap, a
+// repeated sample is pushed twice, everything else is pushed as
+// (possibly corrupted) data. A nil injector replays the clean trial.
+// Detector and injector are Reset first, so replays are deterministic.
 func (d *DetectorOf[S]) SimulateFaulty(t *dataset.Trial, inj fault.Injector) TrialSim {
 	d.Reset()
-	if inj != nil {
-		inj.Reset()
-	}
-	sim := TrialSim{TriggerSample: -1}
-	for i, s := range t.Samples {
-		var r Result
-		if inj == nil {
-			r = d.Push(s.Acc, s.Gyro)
-		} else {
-			cs, eff := inj.Apply(s)
-			switch eff {
-			case fault.Drop:
-				r = d.PushMissing(1)
-			case fault.Repeat:
-				d.Push(cs.Acc, cs.Gyro)
-				r = d.Push(cs.Acc, cs.Gyro)
-			case fault.Pass:
-				r = d.Push(cs.Acc, cs.Gyro)
-			}
-		}
-		if r.Evaluated {
-			sim.Evals++
-		}
-		if r.Triggered && sim.TriggerSample < 0 {
-			sim.Triggered = true
-			sim.TriggerSample = i
-			if !t.IsFall() {
-				sim.FalseAlarm = true
-			}
-			break
-		}
-	}
-	if t.IsFall() && sim.Triggered {
-		sim.LeadTimeMS = float64(t.Impact-sim.TriggerSample) * 1000 / dataset.SampleRate
-		sim.InTime = sim.LeadTimeMS >= dataset.AirbagInflationMS
-	}
-	return sim
+	return t.Outcome(fault.Replay(t.Samples, inj,
+		func(_ int, s imu.Sample) bool { return d.Push(s.Acc, s.Gyro).Triggered },
+		func(int) bool { return d.PushMissing(1).Triggered }))
 }

@@ -80,7 +80,7 @@ func TestRunKFoldParallelIdentical(t *testing.T) {
 // replicas report exactly what one does.
 func TestEvaluateRobustnessParallelIdentical(t *testing.T) {
 	det, trials := robustFixture(t)
-	serial := EvaluateRobustness(det, trials, nil, nil, 3)
+	serial := EvaluateRobustnessParallel([]*edge.Detector{det}, trials, nil, nil, 3)
 
 	dets := make([]*edge.Detector, 4)
 	for i := range dets {

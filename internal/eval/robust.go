@@ -44,8 +44,9 @@ type RobustnessPoint struct {
 
 	// TierEvals counts decisions per cascade tier over the condition's
 	// whole replay (zero for non-cascade sweeps); TierTriggers counts
-	// which tier produced each fall trigger. Together they show where
-	// the cascade actually decided under each fault.
+	// which tier produced each trigger, on a fall or an ADL trial.
+	// Together they show where the cascade actually decided under each
+	// fault.
 	TierEvals    [cascade.NumTiers]int
 	TierTriggers [cascade.NumTiers]int
 }
@@ -73,51 +74,43 @@ type RobustnessReport struct {
 	Points []RobustnessPoint
 }
 
-// EvaluateRobustness replays every trial through the streaming
-// detector once clean and once per (fault kind, severity) pair,
-// measuring how much of the clean recall, lead time and false-alarm
-// rate survives each sensor-fault condition. Fault randomness is
-// derived from seed and the injector is reset per trial, so the sweep
-// is reproducible sample for sample.
-func EvaluateRobustness[S tensor.Scalar](det *edge.DetectorOf[S], trials []dataset.Trial,
-	kinds []fault.Kind, severities []float64, seed int64) *RobustnessReport {
-	return EvaluateRobustnessParallel([]*edge.DetectorOf[S]{det}, trials, kinds, severities, seed)
-}
-
-// EvaluateRobustnessParallel is EvaluateRobustness with the fault
-// conditions fanned out across len(dets) workers. Each detector must
-// be an independent pipeline instance (detectors carry filter, ring
-// and classifier-scratch state): worker w replays its conditions on
+// EvaluateRobustnessParallel replays every trial through the
+// streaming detector once clean and once per (fault kind, severity)
+// pair, measuring how much of the clean recall, lead time and
+// false-alarm rate survives each sensor-fault condition. The
+// conditions fan out across len(dets) workers. Each detector must be
+// an independent pipeline instance (detectors carry filter, ring and
+// classifier-scratch state): worker w replays its conditions on
 // dets[w], every condition's injector is seeded from the sweep seed
-// and the condition alone, and SimulateFaulty resets the detector per
-// trial — so the report is identical for any detector count.
+// and the condition alone, and SimulateFaulty resets the detector and
+// the injector per trial — so the sweep is reproducible sample for
+// sample and the report is identical for any detector count.
 func EvaluateRobustnessParallel[S tensor.Scalar](dets []*edge.DetectorOf[S], trials []dataset.Trial,
 	kinds []fault.Kind, severities []float64, seed int64) *RobustnessReport {
 	return sweepConditions(len(dets), kinds, severities, func(w int, inj fault.Injector) RobustnessPoint {
-		return simulateAll(dets[w], trials, inj)
+		d := dets[w]
+		return simulateAll(trials, func(t *dataset.Trial) (cascade.TrialSim, edge.FaultStats) {
+			return cascade.TrialSim{Outcome: d.SimulateFaulty(t, inj), TriggerTier: cascade.NumTiers}, d.Stats()
+		})
 	}, seed)
 }
 
-// EvaluateCascadeRobustness is the fault sweep over the supervised
-// detector cascade: same conditions, same injector seeding, but every
-// trial replays through cascade.SimulateFaulty, so the report carries
-// per-tier decision and trigger counts alongside the base metrics. A
-// plain and a cascade sweep over the same trials, kinds, severities
-// and seed see sample-identical fault streams — the pairing the
-// with/without-cascade comparison depends on.
-func EvaluateCascadeRobustness[S tensor.Scalar](c *cascade.CascadeOf[S], trials []dataset.Trial,
-	kinds []fault.Kind, severities []float64, seed int64) *RobustnessReport {
-	return EvaluateCascadeRobustnessParallel([]*cascade.CascadeOf[S]{c}, trials, kinds, severities, seed)
-}
-
-// EvaluateCascadeRobustnessParallel fans the fault conditions out
-// across len(cs) workers. Each cascade must be an independent instance
-// over its own cloned classifiers; the report is identical for any
-// worker count.
+// EvaluateCascadeRobustnessParallel is the fault sweep over the
+// supervised detector cascade: same conditions, same injector seeding,
+// but every trial replays through cascade.SimulateFaulty, so the
+// report carries per-tier decision and trigger counts alongside the
+// base metrics. A plain and a cascade sweep over the same trials,
+// kinds, severities and seed see sample-identical fault streams — the
+// pairing the with/without-cascade comparison depends on. Each cascade
+// must be an independent instance over its own cloned classifiers; the
+// report is identical for any worker count.
 func EvaluateCascadeRobustnessParallel[S tensor.Scalar](cs []*cascade.CascadeOf[S], trials []dataset.Trial,
 	kinds []fault.Kind, severities []float64, seed int64) *RobustnessReport {
 	return sweepConditions(len(cs), kinds, severities, func(w int, inj fault.Injector) RobustnessPoint {
-		return simulateAllCascade(cs[w], trials, inj)
+		c := cs[w]
+		return simulateAll(trials, func(t *dataset.Trial) (cascade.TrialSim, edge.FaultStats) {
+			return c.SimulateFaulty(t, inj), c.Detector().Stats()
+		})
 	}, seed)
 }
 
@@ -162,8 +155,12 @@ func sweepConditions(workers int, kinds []fault.Kind, severities []float64,
 	return rep
 }
 
-// simulateAll replays every trial under one fault condition.
-func simulateAll[S tensor.Scalar](det *edge.DetectorOf[S], trials []dataset.Trial, inj fault.Injector) RobustnessPoint {
+// simulateAll replays every trial under one fault condition through
+// replay, which returns the trial's outcome with its tier accounting
+// and the detector's fault counters, and tallies them into one point.
+// A plain detector's run has zero TierEvals and TriggerTier NumTiers
+// (no tier), so a plain sweep's tier counts stay zero.
+func simulateAll(trials []dataset.Trial, replay func(t *dataset.Trial) (cascade.TrialSim, edge.FaultStats)) RobustnessPoint {
 	var p RobustnessPoint
 	detected, inTime := 0, 0
 	leadSum := 0.0
@@ -171,46 +168,7 @@ func simulateAll[S tensor.Scalar](det *edge.DetectorOf[S], trials []dataset.Tria
 	adlSamples := 0
 	for i := range trials {
 		t := &trials[i]
-		sim := det.SimulateFaulty(t, inj)
-		st := det.Stats()
-		p.Quarantined += st.Quarantined
-		p.Missing += st.Missing
-		p.BadScores += st.BadScores
-		p.Stuck += st.AccStuck + st.GyroStuck
-		p.Drift += st.AccDrift + st.GyroDrift
-		if t.IsFall() {
-			p.FallTrials++
-			if sim.Triggered {
-				detected++
-				leadSum += sim.LeadTimeMS
-				if sim.InTime {
-					inTime++
-				}
-			}
-		} else {
-			p.ADLTrials++
-			adlSamples += len(t.Samples)
-			if sim.FalseAlarm {
-				falseAlarms++
-			}
-		}
-	}
-	p.finish(detected, inTime, leadSum, falseAlarms, adlSamples)
-	return p
-}
-
-// simulateAllCascade replays every trial through the cascade under one
-// fault condition, accumulating the per-tier accounting.
-func simulateAllCascade[S tensor.Scalar](c *cascade.CascadeOf[S], trials []dataset.Trial, inj fault.Injector) RobustnessPoint {
-	var p RobustnessPoint
-	detected, inTime := 0, 0
-	leadSum := 0.0
-	falseAlarms := 0
-	adlSamples := 0
-	for i := range trials {
-		t := &trials[i]
-		sim := c.SimulateFaulty(t, inj)
-		st := c.Detector().Stats()
+		sim, st := replay(t)
 		p.Quarantined += st.Quarantined
 		p.Missing += st.Missing
 		p.BadScores += st.BadScores
@@ -219,7 +177,7 @@ func simulateAllCascade[S tensor.Scalar](c *cascade.CascadeOf[S], trials []datas
 		for tier, n := range sim.TierEvals {
 			p.TierEvals[tier] += n
 		}
-		if sim.Triggered {
+		if sim.Triggered && sim.TriggerTier < cascade.NumTiers {
 			p.TierTriggers[sim.TriggerTier]++
 		}
 		if t.IsFall() {

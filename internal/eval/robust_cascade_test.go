@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cascade"
+	"repro/internal/edge"
 	"repro/internal/fault"
 	"repro/internal/model"
 )
@@ -42,8 +43,8 @@ func TestEvaluateCascadeRobustnessBeatsPlainUnderBlindingFaults(t *testing.T) {
 	cs := cascadeFixture(t, 1)
 	kinds := []fault.Kind{fault.KindGyroNaN, fault.KindGyroStuck, fault.KindNaNBurst}
 	sevs := []float64{0.5}
-	plain := EvaluateRobustness(det, trials, kinds, sevs, 21)
-	casc := EvaluateCascadeRobustness(cs[0], trials, kinds, sevs, 21)
+	plain := EvaluateRobustnessParallel([]*edge.Detector{det}, trials, kinds, sevs, 21)
+	casc := EvaluateCascadeRobustnessParallel(cs, trials, kinds, sevs, 21)
 	if len(plain.Points) != len(casc.Points) {
 		t.Fatalf("point count mismatch: %d vs %d", len(plain.Points), len(casc.Points))
 	}

@@ -42,7 +42,7 @@ func robustFixture(t *testing.T) (*edge.Detector, []dataset.Trial) {
 
 func TestEvaluateRobustnessCleanBaseline(t *testing.T) {
 	det, trials := robustFixture(t)
-	rep := EvaluateRobustness(det, trials, []fault.Kind{fault.KindDropout}, []float64{0.25}, 1)
+	rep := EvaluateRobustnessParallel([]*edge.Detector{det}, trials, []fault.Kind{fault.KindDropout}, []float64{0.25}, 1)
 	if rep.Clean.Fault != "clean" {
 		t.Fatalf("clean point mislabelled: %q", rep.Clean.Fault)
 	}
@@ -66,7 +66,7 @@ func TestEvaluateRobustnessModerateDropoutWithinFivePoints(t *testing.T) {
 	// Severity 0.25 is the "moderate field fault": 5 % dropout and
 	// sparse NaN bursts. Acceptance: recall within 5 points of clean,
 	// zero non-finite scores.
-	rep := EvaluateRobustness(det, trials,
+	rep := EvaluateRobustnessParallel([]*edge.Detector{det}, trials,
 		[]fault.Kind{fault.KindDropout, fault.KindNaNBurst}, []float64{0.25}, 7)
 	for _, p := range rep.Points {
 		if d := p.DeltaRecall(rep.Clean); d > 5 {
@@ -91,7 +91,7 @@ func TestEvaluateRobustnessModerateDropoutWithinFivePoints(t *testing.T) {
 
 func TestEvaluateRobustnessFullTaxonomyDefaults(t *testing.T) {
 	det, trials := robustFixture(t)
-	rep := EvaluateRobustness(det, trials, nil, nil, 3)
+	rep := EvaluateRobustnessParallel([]*edge.Detector{det}, trials, nil, nil, 3)
 	wantPoints := len(fault.Kinds()) * 3 // default severities {0.1, 0.25, 0.5}
 	if len(rep.Points) != wantPoints {
 		t.Fatalf("points = %d, want %d", len(rep.Points), wantPoints)
@@ -105,7 +105,7 @@ func TestEvaluateRobustnessFullTaxonomyDefaults(t *testing.T) {
 		}
 	}
 	// Determinism: the same seed reproduces the same sweep.
-	rep2 := EvaluateRobustness(det, trials, nil, nil, 3)
+	rep2 := EvaluateRobustnessParallel([]*edge.Detector{det}, trials, nil, nil, 3)
 	for i := range rep.Points {
 		if rep.Points[i] != rep2.Points[i] {
 			t.Fatalf("sweep not deterministic at %s sev %.2f",

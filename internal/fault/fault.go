@@ -24,7 +24,7 @@ const (
 	// Pass delivers the (possibly modified) sample.
 	Pass Effect = iota
 	// Drop loses the sample: the detector sees a gap where the stream
-	// application should call Detector.PushMissing.
+	// application should call Detector.PushMissing (see Replay).
 	Drop
 	// Repeat delivers the sample twice — the sample-clock ran fast
 	// (jitter), so the consumer sees a duplicated instant.
@@ -529,14 +529,49 @@ func (c Chain) Apply(s imu.Sample) (imu.Sample, Effect) {
 	return s, eff
 }
 
+// Replay streams samples into a pipeline through inj, resetting the
+// injector first, and returns the index of the first sample whose
+// delivery triggered, or −1. Each effect maps onto pipeline calls: a
+// Drop is one missing sample, a Repeat pushes the sample twice and
+// keeps the second result (the duplicate's first delivery never counts
+// as the trigger), a Pass pushes the possibly corrupted sample. A nil
+// injector pushes the clean stream. push and missing receive the
+// sample index and report whether that delivery triggered; the replay
+// stops at the first one that did.
+func Replay(samples []imu.Sample, inj Injector, push func(i int, s imu.Sample) bool, missing func(i int) bool) int {
+	if inj != nil {
+		inj.Reset()
+	}
+	for i, s := range samples {
+		eff := Pass
+		if inj != nil {
+			s, eff = inj.Apply(s)
+		}
+		fired := false
+		switch eff {
+		case Drop:
+			fired = missing(i)
+		case Repeat:
+			push(i, s)
+			fired = push(i, s)
+		case Pass:
+			fired = push(i, s)
+		}
+		if fired {
+			return i
+		}
+	}
+	return -1
+}
+
 // ApplyTrial returns a corrupted deep copy of a trial, resetting the
 // injector first. The copy preserves the sample count and therefore
 // the fall annotations: a Drop becomes a sample-and-hold of the last
 // delivered reading (what a latching sensor driver emits across a
 // gap), and a Repeat keeps the single original sample. Streaming
 // consumers that can represent true gaps should corrupt the live
-// stream instead (edge.Detector.SimulateFaulty), where Drop maps onto
-// the detector's missing-sample path.
+// stream instead (Replay), where Drop maps onto the detector's
+// missing-sample path.
 func ApplyTrial(t *dataset.Trial, inj Injector) *dataset.Trial {
 	out := *t
 	out.Samples = make([]imu.Sample, len(t.Samples))

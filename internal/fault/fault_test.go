@@ -1,7 +1,9 @@
 package fault
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -301,5 +303,85 @@ func TestGyroFaultDeterministicAcrossResets(t *testing.T) {
 		if (math.IsNaN(af.Gyro.X) != math.IsNaN(as.Gyro.X)) || af.Acc != as.Acc {
 			t.Fatalf("sample %d differs across Reset", i)
 		}
+	}
+}
+
+// script is a scripted injector: sample i gets effects[i] (Pass past
+// the end) and is delivered with Acc.X = 1000+i, so a test can tell
+// the corrupted sample from the clean one.
+type script struct {
+	effects      []Effect
+	step, resets int
+}
+
+func (sc *script) Name() string { return "script" }
+func (sc *script) Reset()       { sc.step = 0; sc.resets++ }
+func (sc *script) Apply(s imu.Sample) (imu.Sample, Effect) {
+	eff := Pass
+	if sc.step < len(sc.effects) {
+		eff = sc.effects[sc.step]
+	}
+	s.Acc.X = float64(1000 + sc.step)
+	sc.step++
+	return s, eff
+}
+
+// TestReplay pins the effect → pipeline-call mapping every streaming
+// simulation shares: the call sequence per effect, the nil-injector
+// path, which delivery counts as the trigger, and the reset.
+func TestReplay(t *testing.T) {
+	cases := []struct {
+		name    string
+		effects []Effect // nil: no injector
+		n       int
+		fire    []int // pipeline-call ordinals that report a trigger
+		want    int
+		calls   string
+	}{
+		{"nil injector pushes the clean stream", nil, 3, nil, -1, "p0:0 p1:0 p2:0"},
+		{"pass, drop, repeat", []Effect{Pass, Drop, Repeat}, 3, nil, -1, "p0:1000 m1 p2:1002 p2:1002"},
+		{"a repeat's first push is not the trigger", []Effect{Pass, Repeat, Pass}, 3, []int{1}, -1, "p0:1000 p1:1001 p1:1001 p2:1002"},
+		{"a repeat's second push is", []Effect{Pass, Repeat, Pass}, 3, []int{2}, 1, "p0:1000 p1:1001 p1:1001"},
+		{"a missing sample can trigger", []Effect{Pass, Drop, Pass}, 3, []int{1}, 1, "p0:1000 m1"},
+		{"the replay stops at the first trigger", nil, 4, []int{1, 2}, 1, "p0:0 p1:0"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			samples := make([]imu.Sample, tc.n)
+			var calls []string
+			fires := func() bool {
+				for _, f := range tc.fire {
+					if f == len(calls)-1 {
+						return true
+					}
+				}
+				return false
+			}
+			push := func(i int, s imu.Sample) bool {
+				calls = append(calls, fmt.Sprintf("p%d:%g", i, s.Acc.X))
+				return fires()
+			}
+			missing := func(i int) bool {
+				calls = append(calls, fmt.Sprintf("m%d", i))
+				return fires()
+			}
+			var inj Injector
+			var sc *script
+			if tc.effects != nil {
+				// Leave the injector mid-stream: Replay must rewind it.
+				sc = &script{effects: tc.effects, step: 2}
+				inj = sc
+			}
+			got := Replay(samples, inj, push, missing)
+			if got != tc.want {
+				t.Errorf("trigger = %d, want %d", got, tc.want)
+			}
+			if s := strings.Join(calls, " "); s != tc.calls {
+				t.Errorf("calls = %q, want %q", s, tc.calls)
+			}
+			if sc != nil && sc.resets != 1 {
+				t.Errorf("injector reset %d times, want 1", sc.resets)
+			}
+		})
 	}
 }

@@ -53,9 +53,11 @@
 #      FuzzPrecisionScore gets a 10 s smoke (arbitrary streams of
 #      wear, faults and gaps must keep the f32/f64 score gap inside
 #      the documented tolerance)
-#   8. cascade determinism   — the fault sweep over the cascade must be
-#      bit-identical on 1 worker and 4 (run redundantly from the suite,
-#      but cheap and load-bearing enough to gate by name)
+#   8. sweep determinism     — the fault sweeps over the plain detector
+#      and over the cascade (one replay and one tally in internal/eval)
+#      must each be bit-identical on 1 worker and 4 (run redundantly
+#      from the suite, but cheap and load-bearing enough to gate by
+#      name)
 #   9. soak smoke            — the serving-runtime chaos soak at CI
 #      size (16 streams, 2 injected mid-fall panics, burst/stall/
 #      jitter profiles, one crash-loop) via fallserve -check: zero
@@ -114,8 +116,8 @@ echo "== precision agreement: f32 vs f64 decision sweep"
 go test ./falldet -count=1 -run='^Test(Cascade)?PrecisionDecisionAgreement$' -v
 echo "== fuzz smoke: FuzzPrecisionScore (10s)"
 go test ./internal/edge -run='^$' -fuzz='^FuzzPrecisionScore$' -fuzztime=10s
-echo "== cascade determinism: fault sweep, workers 1 vs 4"
-go test ./internal/eval -count=1 -run='^TestEvaluateCascadeRobustnessWorkerCountInvariance$' -v
+echo "== sweep determinism: plain and cascade fault sweeps, workers 1 vs 4"
+go test ./internal/eval -count=1 -run='^(TestEvaluateCascadeRobustnessWorkerCountInvariance|TestEvaluateRobustnessParallelIdentical)$' -v
 echo "== soak smoke: fallserve -sessions 16 -panics 2 -check"
 go run ./cmd/fallserve -sessions 16 -samples 600 -panics 2 -check
 echo "== bench gate: scripts/bench.sh -short"
