@@ -97,7 +97,7 @@ func (d *DetectorOf[S]) AppendState(dst []byte) []byte {
 	dst = artifact.AppendInt(dst, d.stats.GyroDrift)
 
 	for _, fl := range d.filters {
-		st := fl.F.AppendState(d.snapF[:0])
+		st := fl.AppendState(d.snapF[:0])
 		d.snapF = st
 		dst = artifact.AppendInt(dst, len(st))
 		for _, v := range st {
@@ -205,8 +205,8 @@ func (d *DetectorOf[S]) ReadState(r *artifact.StateReader) error {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		if n != fl.F.StateLen() {
-			return fmt.Errorf("edge: filter %d state holds %d values, want %d", c, n, fl.F.StateLen())
+		if n != fl.StateLen() {
+			return fmt.Errorf("edge: filter %d state holds %d values, want %d", c, n, fl.StateLen())
 		}
 		st := make([]float64, n)
 		for i := range st {
@@ -215,7 +215,7 @@ func (d *DetectorOf[S]) ReadState(r *artifact.StateReader) error {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		if err := fl.F.SetState(st); err != nil {
+		if err := fl.SetState(st); err != nil {
 			return err
 		}
 	}

@@ -34,8 +34,12 @@ import (
 // filter accumulators and every health/fault observer stay float64 at
 // both widths — quarantine and stuck/drift detection must judge the
 // sensor's actual values, not their rounded shadows, and IIR state
-// compounds rounding (see dsp.FilterOf). DetectorOf[float64] is the
-// reference pipeline, bit-identical to the pre-generic implementation;
+// compounds rounding (a biquad's z1/z2 feed back into themselves every
+// sample). So ingest rounds each sample to S, runs the float64
+// dsp.Filter on it and rounds the output to S, as fixed-point firmware
+// keeps a wider accumulator than its sample format; at float64 both
+// roundings are identities. DetectorOf[float64] is the reference
+// pipeline, bit-identical to the pre-generic implementation;
 // DetectorOf[float32] is the deployment width, scoring through lowered
 // model snapshots.
 type DetectorOf[S tensor.Scalar] struct {
@@ -44,7 +48,7 @@ type DetectorOf[S tensor.Scalar] struct {
 
 	//fallvet:derived immutable classifier reference, bound at construction; snapshots carry pipeline state, not weights
 	clf     model.Classifier
-	filters [imu.NumChannels]*dsp.FilterOf[S]
+	filters [imu.NumChannels]*dsp.Filter
 	fusion  *imu.Fusion
 
 	ring  []S // Window × 9, circular by row
@@ -187,7 +191,7 @@ func NewDetectorOf[S tensor.Scalar](clf model.Classifier, cfg DetectorConfig) (*
 		d.groups[g] = newHealthRing(win)
 	}
 	for c := range d.filters {
-		d.filters[c] = dsp.WrapFilter[S](dsp.MustButterworth(4, 5, dataset.SampleRate))
+		d.filters[c] = dsp.MustButterworth(4, 5, dataset.SampleRate)
 	}
 	d.syncStride()
 	d.AttachStream(clf)
@@ -199,8 +203,9 @@ func NewDetectorOf[S tensor.Scalar](clf model.Classifier, cfg DetectorConfig) (*
 // cached per-layer rings instead of re-running the network over the
 // whole window, bit-identically. It returns false — and the
 // classifier keeps scoring in batch form — when clf is not a network
-// model or its topology cannot be cached (MLP, recurrent, misaligned
-// pooling). Attaching the same classifier twice is a no-op.
+// model or its topology cannot be cached (MLP, recurrent, a branch
+// stack other than Conv1D→ReLU→MaxPool1D, misaligned pooling).
+// Attaching the same classifier twice is a no-op.
 func (d *DetectorOf[S]) AttachStream(clf model.Classifier) bool {
 	for i := range d.streams {
 		if d.streams[i].clf == clf {
@@ -552,7 +557,7 @@ func (d *DetectorOf[S]) ingest(row [imu.NumChannels]float64) {
 		// up from zero) is not mistaken for free fall — on the very
 		// first reading and again after any long gap.
 		for c := 0; c < imu.NumChannels; c++ {
-			d.filters[c].Prime(S(row[c]))
+			d.filters[c].Prime(float64(S(row[c])))
 		}
 		d.reprime = false
 	}
@@ -562,7 +567,7 @@ func (d *DetectorOf[S]) ingest(row [imu.NumChannels]float64) {
 		// normalisation the training segments use. Unit scales skip the
 		// divide (x/1.0 is the identity, bit for bit) — three of the
 		// nine divsd per sample do nothing.
-		v := d.filters[c].Process(S(row[c]))
+		v := S(d.filters[c].Process(float64(S(row[c]))))
 		if s := imu.ChannelScale(c); s != 1 {
 			v /= S(s)
 		}

@@ -79,8 +79,6 @@ var hotpathCoverage = map[string]string{
 	"internal/dsp.Biquad.Process":            edgeAlloc,
 	"internal/dsp.Filter.Process":            edgeAlloc,
 	"internal/dsp.Filter.Prime":              coldPrime,
-	"internal/dsp.FilterOf.Process":          edgeAlloc,
-	"internal/dsp.FilterOf.Prime":            coldPrime,
 
 	// Ingest/evaluate split and per-group health, driven per sample by
 	// both Detector.Push and the cascade Push alloc gates.
@@ -135,11 +133,8 @@ var hotpathCoverage = map[string]string{
 	// Blocked matrix-vector kernels (DESIGN §12): every float
 	// inference MAC — batch and streaming — funnels through these.
 	"internal/nn.matVecBias":       nnAlloc,
-	"internal/nn.reluInto":         nnAlloc,
 	"internal/nn.sigmoidInto":      nnAlloc,
 	"internal/nn.matVecBias2":      streamAlloc,
-	"internal/nn.matVecBiasReLU":   streamAlloc,
-	"internal/nn.matVecBias2ReLU":  streamAlloc,
 	"internal/nn.matVecBiasWide":   nnAlloc,
 	"internal/nn.matVecBiasSparse": nnAlloc,
 	"internal/nn.nonzeros":         nnAlloc,

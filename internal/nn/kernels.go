@@ -173,179 +173,6 @@ func matVecBias2[S tensor.Scalar](da, db, xa, xb, w, b []S, rows, cols int) {
 	}
 }
 
-// matVecBiasReLU is matVecBias with the ReLU clamp folded into the
-// stores: the finished sum is clamped exactly as ReLU.Forward clamps
-// (v ≤ 0 becomes 0, NaN propagates — the comparison is false), so the
-// result is identical to matVecBias followed by the ReLU layer without
-// re-reading the output row.
-//
-//fallvet:hotpath
-func matVecBiasReLU[S tensor.Scalar](dst, x, w, b []S, rows, cols int) {
-	if !tensor.Is64[S]() {
-		d := f32s(dst)
-		//fallvet:ignore hottrans simd.MatVecBiasF32 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
-		simd.MatVecBiasF32(d, f32s(x), f32s(w), f32s(b), rows, cols)
-		reluClamp(d[:rows])
-		return
-	}
-	if cols >= 32 {
-		matVecBiasWide(dst, x, w, b, rows, cols)
-		reluClamp(dst[:rows])
-		return
-	}
-	o := 0
-	for ; o+4 <= rows; o += 4 {
-		r0 := w[(o+0)*cols : (o+1)*cols]
-		r1 := w[(o+1)*cols : (o+2)*cols]
-		r2 := w[(o+2)*cols : (o+3)*cols]
-		r3 := w[(o+3)*cols : (o+4)*cols]
-		s0, s1, s2, s3 := b[o], b[o+1], b[o+2], b[o+3]
-		i := 0
-		for ; i+2 <= cols; i += 2 {
-			v0, v1 := x[i], x[i+1]
-			s0 += r0[i]*v0 + r0[i+1]*v1
-			s1 += r1[i]*v0 + r1[i+1]*v1
-			s2 += r2[i]*v0 + r2[i+1]*v1
-			s3 += r3[i]*v0 + r3[i+1]*v1
-		}
-		for ; i < cols; i++ {
-			v := x[i]
-			s0 += r0[i] * v
-			s1 += r1[i] * v
-			s2 += r2[i] * v
-			s3 += r3[i] * v
-		}
-		if s0 <= 0 {
-			s0 = 0
-		}
-		if s1 <= 0 {
-			s1 = 0
-		}
-		if s2 <= 0 {
-			s2 = 0
-		}
-		if s3 <= 0 {
-			s3 = 0
-		}
-		dst[o], dst[o+1], dst[o+2], dst[o+3] = s0, s1, s2, s3
-	}
-	for ; o < rows; o++ {
-		row := w[o*cols : (o+1)*cols]
-		s := b[o]
-		i := 0
-		for ; i+2 <= cols; i += 2 {
-			s += row[i]*x[i] + row[i+1]*x[i+1]
-		}
-		for ; i < cols; i++ {
-			s += row[i] * x[i]
-		}
-		if s <= 0 {
-			s = 0
-		}
-		dst[o] = s
-	}
-}
-
-// matVecBias2ReLU is matVecBias2 with the ReLU clamp folded into the
-// stores, mirroring matVecBiasReLU. Like matVecBias2 it is only valid
-// for cols < 32 (the narrow summation order).
-//
-//fallvet:hotpath
-func matVecBias2ReLU[S tensor.Scalar](da, db, xa, xb, w, b []S, rows, cols int) {
-	if !tensor.Is64[S]() {
-		matVecBias2(da, db, xa, xb, w, b, rows, cols)
-		reluClamp(da[:rows])
-		reluClamp(db[:rows])
-		return
-	}
-	o := 0
-	for ; o+4 <= rows; o += 4 {
-		r0 := w[(o+0)*cols : (o+1)*cols]
-		r1 := w[(o+1)*cols : (o+2)*cols]
-		r2 := w[(o+2)*cols : (o+3)*cols]
-		r3 := w[(o+3)*cols : (o+4)*cols]
-		s0, s1, s2, s3 := b[o], b[o+1], b[o+2], b[o+3]
-		t0, t1, t2, t3 := s0, s1, s2, s3
-		i := 0
-		for ; i+2 <= cols; i += 2 {
-			a0, a1 := xa[i], xa[i+1]
-			c0, c1 := xb[i], xb[i+1]
-			w00, w01 := r0[i], r0[i+1]
-			s0 += w00*a0 + w01*a1
-			t0 += w00*c0 + w01*c1
-			w10, w11 := r1[i], r1[i+1]
-			s1 += w10*a0 + w11*a1
-			t1 += w10*c0 + w11*c1
-			w20, w21 := r2[i], r2[i+1]
-			s2 += w20*a0 + w21*a1
-			t2 += w20*c0 + w21*c1
-			w30, w31 := r3[i], r3[i+1]
-			s3 += w30*a0 + w31*a1
-			t3 += w30*c0 + w31*c1
-		}
-		for ; i < cols; i++ {
-			a, c := xa[i], xb[i]
-			w0, w1, w2, w3 := r0[i], r1[i], r2[i], r3[i]
-			s0 += w0 * a
-			t0 += w0 * c
-			s1 += w1 * a
-			t1 += w1 * c
-			s2 += w2 * a
-			t2 += w2 * c
-			s3 += w3 * a
-			t3 += w3 * c
-		}
-		if s0 <= 0 {
-			s0 = 0
-		}
-		if s1 <= 0 {
-			s1 = 0
-		}
-		if s2 <= 0 {
-			s2 = 0
-		}
-		if s3 <= 0 {
-			s3 = 0
-		}
-		if t0 <= 0 {
-			t0 = 0
-		}
-		if t1 <= 0 {
-			t1 = 0
-		}
-		if t2 <= 0 {
-			t2 = 0
-		}
-		if t3 <= 0 {
-			t3 = 0
-		}
-		da[o], da[o+1], da[o+2], da[o+3] = s0, s1, s2, s3
-		db[o], db[o+1], db[o+2], db[o+3] = t0, t1, t2, t3
-	}
-	for ; o < rows; o++ {
-		row := w[o*cols : (o+1)*cols]
-		s, t := b[o], b[o]
-		i := 0
-		for ; i+2 <= cols; i += 2 {
-			w0, w1 := row[i], row[i+1]
-			s += w0*xa[i] + w1*xa[i+1]
-			t += w0*xb[i] + w1*xb[i+1]
-		}
-		for ; i < cols; i++ {
-			s += row[i] * xa[i]
-			t += row[i] * xb[i]
-		}
-		if s <= 0 {
-			s = 0
-		}
-		if t <= 0 {
-			t = 0
-		}
-		da[o] = s
-		db[o] = t
-	}
-}
-
 // maxSparseCols bounds the stack-allocated nonzero index scratch in
 // matVecBiasWide; wider layers always take the dense path.
 const maxSparseCols = 1152

@@ -103,7 +103,9 @@ func Benchmark_Kernel_ConvPair_F64(b *testing.B) {
 
 func Benchmark_Kernel_ConvPair_F64_Ref(b *testing.B) {
 	benchConv(b, func(k *kernelBench) {
-		matVecBias2ReLU(k.out, k.outB, k.xa, k.xb, k.w, k.b, k.rows, k.cols)
+		matVecBias2(k.out, k.outB, k.xa, k.xb, k.w, k.b, k.rows, k.cols)
+		reluClamp(k.out)
+		reluClamp(k.outB)
 	})
 }
 

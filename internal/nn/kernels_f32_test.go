@@ -182,10 +182,10 @@ func TestMatVecBiasF32MatchesNaive(t *testing.T) {
 	}
 }
 
-// TestMatVecBiasF32GenericDispatch: the generic entry kernels at
-// S=float32 must route to the f32 path — bit-equal to the reference,
-// with the ReLU variants clamping exactly as ReLU.Forward does
-// (NaN propagates, v ≤ 0 becomes 0).
+// TestMatVecBiasF32GenericDispatch: the generic entry kernel at
+// S=float32 must route to the f32 path, bit-equal to the reference.
+// (The clamp that follows it on the f32 row-major route, NaN included,
+// is TestPackedClampBitExact's.)
 func TestMatVecBiasF32GenericDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
 	for _, sh := range []struct{ rows, cols int }{{16, 15}, {64, 864}} {
@@ -202,21 +202,5 @@ func TestMatVecBiasF32GenericDispatch(t *testing.T) {
 					sh.rows, sh.cols, o, got[o], want[o])
 			}
 		}
-		matVecBiasReLU[float32](got, x, w, b, sh.rows, sh.cols)
-		reluClamp(want)
-		for o := range want {
-			if math.Float32bits(got[o]) != math.Float32bits(want[o]) {
-				t.Fatalf("matVecBiasReLU[float32] rows=%d cols=%d out %d: %v != %v",
-					sh.rows, sh.cols, o, got[o], want[o])
-			}
-		}
-	}
-
-	// NaN must survive the folded ReLU clamp.
-	nanW := []float32{float32(math.NaN()), 1}
-	dst := make([]float32, 1)
-	matVecBiasReLU[float32](dst, []float32{1, 1}, nanW, []float32{0}, 1, 2)
-	if !math.IsNaN(float64(dst[0])) {
-		t.Fatalf("folded f32 ReLU flushed NaN to %v; must propagate", dst[0])
 	}
 }

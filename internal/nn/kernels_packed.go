@@ -169,7 +169,8 @@ func bitsHash(h uint64, v []float64) uint64 {
 
 // apply computes dst = W·x + b, clamped by ReLU's NaN-preserving rule
 // when relu is set: the packed kernels clamp in register before their
-// stores, the row-major leftover rows through matVecBiasReLU.
+// stores, the row-major leftover rows through matVecBias and then
+// reluClamp.
 //
 //fallvet:hotpath
 func (m *matOf[S]) apply(dst, x []S, relu bool) {
@@ -186,16 +187,16 @@ func (m *matOf[S]) apply(dst, x []S, relu bool) {
 		}
 		dst, w, b, rows = dst[p:], w[p*cols:], b[p:], rows-p
 	}
+	matVecBias(dst, x, w, b, rows, cols)
 	if relu {
-		matVecBiasReLU(dst, x, w, b, rows, cols)
-	} else {
-		matVecBias(dst, x, w, b, rows, cols)
+		reluClamp(dst[:rows])
 	}
 }
 
 // apply2ReLU computes two ReLU-clamped rows da = W·xa + b and
 // db = W·xb + b with one read of the weights (narrow matrices only,
-// as matVecBias2ReLU). The packed pair kernels always clamp.
+// as matVecBias2). The packed pair kernels always clamp; the
+// row-major leftover rows clamp through reluClamp.
 //
 //fallvet:hotpath
 func (m *matOf[S]) apply2ReLU(da, db, xa, xb []S) {
@@ -213,7 +214,9 @@ func (m *matOf[S]) apply2ReLU(da, db, xa, xb []S) {
 		}
 		da, db, w, b, rows = da[p:], db[p:], w[p*cols:], b[p:], rows-p
 	}
-	matVecBias2ReLU(da, db, xa, xb, w, b, rows, cols)
+	matVecBias2(da, db, xa, xb, w, b, rows, cols)
+	reluClamp(da[:rows])
+	reluClamp(db[:rows])
 }
 
 // packedF64 runs whole packed f64 units through the kernel of the
@@ -241,7 +244,8 @@ func packedF64(dst, x, w, b []float64, rows, cols int, relu bool) {
 
 // reluClamp applies ReLU's clamp in place: v ≤ 0 becomes 0, and NaN
 // propagates because the comparison is false. It clamps the rows the
-// packed kernels do not cover (the non-AVX route, the f32 wide head);
+// packed kernels do not cover (the non-AVX route, the leftover rows
+// below a pack unit, the f32 wide head);
 // the packed kernels clamp in register with the same rule, by an
 // ordered v ≤ 0 compare and an and-not (simd's packed_amd64.s), never
 // by MAXPx, which would resolve NaN to its second operand and flush

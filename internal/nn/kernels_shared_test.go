@@ -47,14 +47,12 @@ func sharedNets(t *testing.T, filters, n int) []*Network {
 	return nets
 }
 
-// streamerMats lists a streamer's matrices: each canonical branch's
-// conv, then each dense head step.
+// streamerMats lists a streamer's matrices: each branch's conv, then
+// each dense head step.
 func streamerMats[S tensor.Scalar](st *StreamerOf[S]) []*matOf[S] {
 	var ms []*matOf[S]
 	for _, b := range st.branches {
-		if b.canon {
-			ms = append(ms, &b.conv)
-		}
+		ms = append(ms, &b.conv)
 	}
 	for i := range st.head {
 		if st.head[i].op == headDense {

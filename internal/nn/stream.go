@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/tensor"
 )
@@ -95,45 +96,38 @@ type headOp uint8
 
 const (
 	headDense   headOp = iota // y = W·x + b, optionally with the following ReLU folded in
-	headReLU                  // a lone ReLU (not directly after a Dense)
 	headSigmoid               // logistic transfer
 )
 
 // headStepOf is one precompiled step of the dense head. Dense layers
-// (optionally with their following ReLU folded in) run straight
-// through the micro-kernels into a streamer-owned buffer; lone
-// activations run through the generic element-wise helpers, which at
-// float64 evaluate exactly the layer objects' expressions. Flatten is
-// the identity on the 1-D head and compiles to no step at all. Every
-// step therefore produces bit-identical values to the layer stack at
-// S=float64 while skipping per-layer tensor bookkeeping on the
-// decision path — and gives float32 a complete head with no float64
-// layer objects in the loop.
+// (with a following ReLU folded in) run straight through the
+// micro-kernels into a streamer-owned buffer; Sigmoid runs through
+// sigmoidInto, which at float64 evaluates exactly the layer object's
+// expression. Flatten is the identity on the 1-D head and compiles to
+// no step at all. Every step therefore produces bit-identical values
+// to the layer stack at S=float64 while skipping per-layer tensor
+// bookkeeping on the decision path — and gives float32 a complete
+// head with no float64 layer objects in the loop.
 type headStepOf[S tensor.Scalar] struct {
 	op   headOp
-	relu bool     // headDense: fold the following ReLU into the kernel's stores
+	relu bool     // headDense: clamp the output by the following ReLU
 	mat  matOf[S] // headDense parameters: packed copy taken at construction
 	buf  []S      // step output
 }
 
-// branchStreamOf is one Branch column range: either streamed through
-// ring caches (Conv→ReLU→MaxPool stacks on non-rebased columns) or
-// recomputed in fused batch form per decision; non-canonical stacks
-// fall back to the model's own float64 layer objects (and are rejected
-// at float32, where no layer objects exist to fall back to).
+// branchStreamOf is one Branch column range, whose stack is
+// Conv1D→ReLU→MaxPool1D (the only branch shape NewStreamerOf accepts):
+// either streamed through ring caches (non-rebased columns on an
+// aligned stride) or recomputed in fused batch form per decision.
 type branchStreamOf[S tensor.Scalar] struct {
 	lo, hi int
-	flat   int     // flattened output length
-	stack  []Layer // the model's own layers (float64 layer-object fallback)
+	flat   int // flattened output length
 
-	canon bool           // stack is exactly Conv1D→ReLU→MaxPool1D with matching width
-	batch bool           // recomputed per decision instead of streamed
-	fused bool           // batch && canon: evaluated row-wise, no layer objects
-	in    *tensor.Of[S]  // batch form: assembled [window × hi−lo] input
-	in64  *tensor.Tensor // non-canon fallback: `in` seen at float64 (nil at f32)
+	batch bool          // recomputed per decision instead of streamed
+	in    *tensor.Of[S] // batch form: assembled [window × hi−lo] input
 
-	// Conv/pool geometry, set whenever the stack is canonical (the
-	// streaming, fused-batch and BatchScore forms all use it).
+	// Conv/pool geometry (the streaming, fused-batch and BatchScore
+	// forms all use it).
 	filters  int
 	kernel   int
 	conv     matOf[S] // conv parameters: packed copy taken at construction
@@ -201,25 +195,18 @@ func NewStreamer(net *Network, cfg StreamConfig) (*Streamer, error) {
 }
 
 // NewStreamerOf builds an incremental scorer at scalar width S for
-// net, which must be a Branch followed by a dense head
-// (Dense/ReLU/Sigmoid/Flatten layers only) — the shape of every
-// CNN this repo builds. Other topologies (MLP, recurrent) return an
-// error; callers fall back to batch scoring. At S=float32 every branch
-// stack must additionally be canonical Conv1D→ReLU→MaxPool1D: the
-// lowered path compiles the whole forward pass out of the float64
-// layer objects, so there is nothing for a non-canonical stack to fall
-// back to.
+// net, which must be a Branch whose every stack is Conv1D→ReLU→MaxPool1D,
+// followed by a dense head of Dense, ReLU (directly after a Dense),
+// Sigmoid and Flatten layers — the shape of every CNN this repo
+// builds. Other topologies (MLP, recurrent, any other branch stack)
+// return an error; callers fall back to batch scoring.
 //
 // The Streamer snapshots net's parameters at construction, at both
 // widths: each Conv1D and Dense matrix is copied once, lowered to S
 // (round-to-nearest-even at float32) and, where the AVX kernels apply,
 // packed into their across-output layout in the same pass (DESIGN.md
 // §12.7). Updating net in place afterwards does not reach the
-// Streamer; build a new one. The one exception is a non-canonical
-// branch stack (float64 only), which runs net's own layer objects and
-// shares their parameters and scratch: scoring through it and through
-// net.Predict interleave safely (outputs are copied out of layer
-// scratch), but neither may run concurrently.
+// Streamer; build a new one.
 func NewStreamerOf[S tensor.Scalar](net *Network, cfg StreamConfig) (*StreamerOf[S], error) {
 	if net == nil || len(net.Layers) == 0 {
 		return nil, fmt.Errorf("nn: streamer needs a non-empty network")
@@ -245,7 +232,6 @@ func NewStreamerOf[S tensor.Scalar](net *Network, cfg StreamConfig) (*StreamerOf
 		in:     make([]S, cfg.Window*cfg.InCh),
 		rebase: rebase,
 	}
-	f64 := tensor.Is64[S]()
 	total := 0
 	for i, c := range br.Cols {
 		lo, hi := c[0], c[1]
@@ -264,22 +250,25 @@ func NewStreamerOf[S tensor.Scalar](net *Network, cfg StreamConfig) (*StreamerOf
 		for _, d := range shape {
 			flat *= d
 		}
-		b := &branchStreamOf[S]{lo: lo, hi: hi, flat: flat, stack: br.Stacks[i]}
-		s.configureBranch(b, rebase)
-		if !b.canon && !f64 {
-			return nil, fmt.Errorf("nn: float32 streamer branch %d needs a Conv→ReLU→MaxPool stack", i)
-		}
-		if !b.canon {
-			b.in64 = any(b.in).(*tensor.Tensor)
+		b := &branchStreamOf[S]{lo: lo, hi: hi, flat: flat}
+		if !s.configureBranch(b, br.Stacks[i], rebase) {
+			return nil, fmt.Errorf("nn: streamer branch %d needs a Conv1D→ReLU→MaxPool1D stack", i)
 		}
 		s.branches = append(s.branches, b)
 		total += flat
 	}
 	layers := net.Layers[1:]
 	hshape := []int{total}
+	var prev Layer
 	for _, l := range layers {
 		switch l.(type) {
-		case *Dense, *ReLU, *Sigmoid, *Flatten:
+		case *Dense, *Sigmoid, *Flatten:
+		case *ReLU:
+			// Folded into the preceding Dense's stores; a ReLU after
+			// anything else has no compiled step.
+			if _, ok := prev.(*Dense); !ok {
+				return nil, fmt.Errorf("nn: streamer head ReLU must follow a Dense")
+			}
 		default:
 			return nil, fmt.Errorf("nn: streamer head cannot contain %s", l.Name())
 		}
@@ -288,6 +277,7 @@ func NewStreamerOf[S tensor.Scalar](net *Network, cfg StreamConfig) (*StreamerOf
 		if err != nil {
 			return nil, fmt.Errorf("nn: streamer head: %w", err)
 		}
+		prev = l
 	}
 	if len(hshape) != 1 || hshape[0] != 1 {
 		return nil, fmt.Errorf("nn: streamer head output shape %v, want [1]", hshape)
@@ -298,10 +288,9 @@ func NewStreamerOf[S tensor.Scalar](net *Network, cfg StreamConfig) (*StreamerOf
 }
 
 // buildHead precompiles the validated head layers into headSteps:
-// Dense layers run through the micro-kernels (a ReLU directly after a
-// Dense folds into its stores), lone activations through the generic
-// element-wise helpers, and Flatten — the identity on the 1-D head —
-// compiles away entirely.
+// Dense layers run through the micro-kernels with the ReLU that
+// follows them folded into their step, Sigmoid through sigmoidInto,
+// and Flatten — the identity on the 1-D head — compiles away entirely.
 func (s *StreamerOf[S]) buildHead(layers []Layer, width int) {
 	for i := 0; i < len(layers); i++ {
 		switch l := layers[i].(type) {
@@ -319,8 +308,6 @@ func (s *StreamerOf[S]) buildHead(layers []Layer, width int) {
 			}
 			s.head = append(s.head, st)
 			width = l.Out
-		case *ReLU:
-			s.head = append(s.head, headStepOf[S]{op: headReLU, buf: make([]S, width)})
 		case *Sigmoid:
 			s.head = append(s.head, headStepOf[S]{op: headSigmoid, buf: make([]S, width)})
 		case *Flatten:
@@ -329,39 +316,37 @@ func (s *StreamerOf[S]) buildHead(layers []Layer, width int) {
 	}
 }
 
-// configureBranch decides how b evaluates. A branch streams when its
-// stack is exactly Conv1D→ReLU→MaxPool1D, none of its columns are
-// re-based per window, and the stride keeps window starts on the
-// pooling grid (Step divisible by Pool). A canonical stack that cannot
-// stream (re-based columns, misaligned stride) is recomputed per
-// decision but in fused row-wise form — same order, same values, no
-// intermediate layer tensors. Anything else goes through the model's
-// own layer objects (float64 only).
-func (s *StreamerOf[S]) configureBranch(b *branchStreamOf[S], rebase []bool) {
-	b.batch = true
+// configureBranch decides how b evaluates its layers, reporting false
+// unless they are exactly Conv1D→ReLU→MaxPool1D over the branch's
+// width. A branch streams when none of its columns are re-based per
+// window and the stride keeps window starts on the pooling grid (Step
+// divisible by Pool). One that cannot stream (re-based columns,
+// misaligned stride) is recomputed per decision in fused row-wise
+// form — same order, same values, no intermediate layer tensors.
+func (s *StreamerOf[S]) configureBranch(b *branchStreamOf[S], layers []Layer, rebase []bool) bool {
+	if len(layers) != 3 {
+		return false
+	}
+	conv, ok := layers[0].(*Conv1D)
+	if !ok {
+		return false
+	}
+	if _, ok := layers[1].(*ReLU); !ok {
+		return false
+	}
+	mp, ok := layers[2].(*MaxPool1D)
+	if !ok {
+		return false
+	}
 	w := b.hi - b.lo
+	convT := s.window - conv.Kernel + 1
+	if conv.InCh != w || convT < 1 {
+		return false
+	}
+	b.batch = true
 	// Every batch form (including BatchScore on streaming branches)
 	// assembles the window here.
 	b.in = tensor.NewOf[S](s.window, w)
-	if len(b.stack) != 3 {
-		return
-	}
-	conv, ok := b.stack[0].(*Conv1D)
-	if !ok {
-		return
-	}
-	if _, ok := b.stack[1].(*ReLU); !ok {
-		return
-	}
-	mp, ok := b.stack[2].(*MaxPool1D)
-	if !ok {
-		return
-	}
-	convT := s.window - conv.Kernel + 1
-	if conv.InCh != w || convT < 1 {
-		return
-	}
-	b.canon = true
 	b.filters = conv.Filters
 	b.kernel = conv.Kernel
 	b.conv = newMat[S](conv.Weight.W.Data(), conv.Bias.W.Data(), conv.Filters, conv.Kernel*w)
@@ -377,8 +362,7 @@ func (s *StreamerOf[S]) configureBranch(b *branchStreamOf[S], rebase []bool) {
 		rebased = rebased || rebase[c]
 	}
 	if rebased || s.step%mp.Pool != 0 {
-		b.fused = true
-		return
+		return true
 	}
 	b.batch = false
 	b.pair = convT >= 2 && conv.Kernel*w < 32
@@ -388,6 +372,7 @@ func (s *StreamerOf[S]) configureBranch(b *branchStreamOf[S], rebase []bool) {
 	}
 	b.rmax = make([]S, conv.Filters)
 	b.poolRing = make([]S, b.fullPool*conv.Filters)
+	return true
 }
 
 // Streaming reports whether any branch actually runs incrementally
@@ -477,7 +462,7 @@ func (s *StreamerOf[S]) Push(row []S) {
 
 // pushConv handles absolute conv row a, newly uncovered by the latest
 // push. With a predecessor pending the two rows are computed together
-// through matVecBias2ReLU; otherwise the row is deferred for the next
+// through apply2ReLU; otherwise the row is deferred for the next
 // push (or for Score's flush). Branches with pairing disabled compute
 // immediately — see the pair field comment.
 //
@@ -631,13 +616,12 @@ func (s *StreamerOf[S]) Score() float64 {
 
 // BatchScore evaluates the network over the current window entirely in
 // batch form from the streamer's own input ring — every branch through
-// the fused row-wise kernels (or its float64 layer objects when not
-// canonical), then the compiled head. Unlike Score it does not require
-// the window start to sit on the pooling grid, so it is the compiled
-// path's full fallback for off-stride scoring; at S=float64 it is
-// bit-identical to Network.Predict on the assembled window by the
-// kernel order contract. A full window of history must exist
-// (count ≥ Window).
+// the fused row-wise kernels, then the compiled head. Unlike Score it
+// does not require the window start to sit on the pooling grid, so it
+// is the compiled path's full fallback for off-stride scoring; at
+// S=float64 it is bit-identical to Network.Predict on the assembled
+// window by the kernel order contract. A full window of history must
+// exist (count ≥ Window).
 //
 //fallvet:hotpath
 func (s *StreamerOf[S]) BatchScore() float64 {
@@ -661,14 +645,24 @@ func (s *StreamerOf[S]) runHead(cur []S) S {
 		switch st.op {
 		case headDense:
 			st.mat.apply(st.buf, cur, st.relu)
-		case headReLU:
-			reluInto(st.buf, cur)
 		case headSigmoid:
 			sigmoidInto(st.buf, cur)
 		}
 		cur = st.buf
 	}
 	return cur[0]
+}
+
+// sigmoidInto writes the logistic function element-wise. The transfer
+// runs through float64 at both widths, so the float64 instantiation is
+// Sigmoid.Forward's exact expression and the float32 one differs only
+// by the final rounding of an exactly-computed double.
+//
+//fallvet:hotpath
+func sigmoidInto[S tensor.Scalar](dst, x []S) {
+	for i, v := range x {
+		dst[i] = S(1 / (1 + math.Exp(-float64(v))))
+	}
 }
 
 // gather copies the window's pooled rows (plus the partial tail, if
@@ -708,9 +702,8 @@ func (b *branchStreamOf[S]) gather(dst []S, start int) {
 
 // runBatchBranch assembles the branch's input columns from the ring,
 // applies the per-window re-basing the detector applies (subtracting
-// each re-based column's first value), and runs either the fused
-// row-wise kernels (canonical stacks) or the model's own float64 layer
-// stack — the same values through the same code as the batch path.
+// each re-based column's first value), and runs the fused row-wise
+// kernels — the same values in the same order as the batch path.
 //
 //fallvet:hotpath
 func (s *StreamerOf[S]) runBatchBranch(b *branchStreamOf[S], dst []S, start int) {
@@ -737,23 +730,10 @@ func (s *StreamerOf[S]) runBatchBranch(b *branchStreamOf[S], dst []S, start int)
 			ind[i*w+c] -= v0
 		}
 	}
-	if b.canon {
-		b.fusedConvPool(dst, ind)
-		return
-	}
-	// Non-canonical fallback: the model's own layers, float64 only
-	// (b.in64 is the same buffer seen at the concrete type; float32
-	// construction rejected this shape).
-	h := b.in64
-	for _, l := range b.stack {
-		h = l.Forward(h, false)
-	}
-	for i, v := range h.Data() {
-		dst[i] = S(v)
-	}
+	b.fusedConvPool(dst, ind)
 }
 
-// fusedConvPool evaluates a canonical Conv→ReLU→MaxPool stack over the
+// fusedConvPool evaluates the branch's Conv→ReLU→MaxPool stack over the
 // assembled window row-wise, writing pooled rows (and the trailing
 // partial block) straight into dst. It produces bit-identical values
 // to the layer objects — each conv row is matVecBias's per-output

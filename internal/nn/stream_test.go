@@ -187,6 +187,28 @@ func TestStreamerRejectsUnsupported(t *testing.T) {
 	if _, err := NewStreamer(NewNetwork(), StreamConfig{InCh: 2, Window: 20, Step: 4}); err == nil {
 		t.Fatal("empty network accepted")
 	}
+	noReLU := NewNetwork(
+		NewBranch([][2]int{{0, 2}}, [][]Layer{{NewConv1D(2, 4, 3, rng), NewMaxPool1D(2)}}),
+		NewDense(36, 1, rng),
+		NewSigmoid(),
+	)
+	cfg := StreamConfig{InCh: 2, Window: 20, Step: 4}
+	if _, err := NewStreamer(noReLU, cfg); err == nil {
+		t.Fatal("Conv→MaxPool branch without ReLU accepted at float64")
+	}
+	if _, err := NewStreamerOf[float32](noReLU, cfg); err == nil {
+		t.Fatal("Conv→MaxPool branch without ReLU accepted at float32")
+	}
+	loneReLU := NewNetwork(
+		NewBranch([][2]int{{0, 2}}, [][]Layer{{NewConv1D(2, 4, 3, rng), NewReLU(), NewMaxPool1D(2)}}),
+		NewFlatten(),
+		NewReLU(), // follows no Dense
+		NewDense(36, 1, rng),
+		NewSigmoid(),
+	)
+	if _, err := NewStreamer(loneReLU, cfg); err == nil {
+		t.Fatal("head ReLU after Flatten accepted")
+	}
 	net := streamTestNet(t, 20, [][2]int{{0, 2}}, 4, 3, 2, rng)
 	if _, err := NewStreamer(net, StreamConfig{InCh: 2, Window: 20, Step: 10, RebaseCols: []int{5}}); err == nil {
 		t.Fatal("out-of-range rebase column accepted")

@@ -6,15 +6,20 @@ import (
 	"repro/internal/cascade"
 )
 
+// breakerClear is the fraction of the deadline a p99 must stay at or
+// below for a decision to count as calm.
+const breakerClear = 0.4
+
 // breaker is the per-session latency circuit breaker. It keeps a
 // sliding window of decision latencies, estimates the p99, and maps
 // sustained pressure against the decision deadline onto a tier
 // ceiling: level 0 is unconstrained (TierPrimary ceiling — no cap),
 // level 1 caps the cascade at the accelerometer-only CNN, level 2 at
 // the threshold floor. Demotion is immediate — a session close to the
-// 150 ms airbag budget must get cheaper now — while promotion needs
-// BreakerHold consecutive calm decisions, so the ceiling does not
-// flap around the trip point.
+// 150 ms airbag budget must get cheaper now — while promotion needs a
+// window's worth of consecutive calm decisions (p99 at or below
+// breakerClear×Deadline), so the ceiling does not flap around the trip
+// point.
 //
 // The breaker is owned by whichever goroutine drains the session (one
 // at a time); it is not concurrency-safe on its own.
@@ -81,7 +86,7 @@ func (b *breaker) p99() time.Duration {
 // changed) breaker level. The level only moves once at least half the
 // window is populated, so a cold session is not tripped by its first
 // outlier.
-func (b *breaker) observe(lat, deadline time.Duration, trip, clear float64, hold int) (level int, changed bool) {
+func (b *breaker) observe(lat, deadline time.Duration, trip float64) (level int, changed bool) {
 	b.window[b.pos] = lat
 	b.pos = (b.pos + 1) % len(b.window)
 	if b.n < len(b.window) {
@@ -97,9 +102,9 @@ func (b *breaker) observe(lat, deadline time.Duration, trip, clear float64, hold
 		b.level++
 		b.calm = 0
 		return b.level, true
-	case p <= clear*d && b.level > 0:
+	case p <= breakerClear*d && b.level > 0:
 		b.calm++
-		if b.calm >= hold {
+		if b.calm >= len(b.window) {
 			b.level--
 			b.calm = 0
 			return b.level, true

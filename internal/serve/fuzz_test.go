@@ -144,15 +144,14 @@ func runServeProgram(t *testing.T, data []byte) {
 	oneShot.Store(-1)
 	faultFrom.Store(-1)
 	rt := New(Config{
-		QueueLen:        queueLen,
-		OutboxLen:       outboxLen,
-		SnapshotEvery:   snapEvery,
-		MaxRestarts:     maxRestarts,
-		RestartBackoff:  time.Microsecond,
-		RestartMaxDelay: time.Microsecond,
-		Deadline:        deadline,
-		BreakerTrip:     math.MaxFloat64,
-		Now:             clk.Now,
+		QueueLen:       queueLen,
+		OutboxLen:      outboxLen,
+		SnapshotEvery:  snapEvery,
+		MaxRestarts:    maxRestarts,
+		RestartBackoff: time.Microsecond,
+		Deadline:       deadline,
+		BreakerTrip:    math.MaxFloat64,
+		Now:            clk.Now,
 		PushHook: func(_ int, pos uint64) {
 			if hold.CompareAndSwap(true, false) {
 				arrived <- struct{}{}

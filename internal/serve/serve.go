@@ -101,11 +101,10 @@ type Config struct {
 	// a single failure may consume before the session is shed.
 	// Default 3.
 	MaxRestarts int //fallvet:derived immutable runtime configuration, fixed by New; never part of a session snapshot
-	// RestartBackoff and RestartMaxDelay shape the exponential
-	// backoff between restart attempts (guard.Config.BaseDelay and
-	// MaxDelay). Defaults 1ms and 50ms.
-	RestartBackoff  time.Duration //fallvet:derived immutable runtime configuration, fixed by New; never part of a session snapshot
-	RestartMaxDelay time.Duration //fallvet:derived immutable runtime configuration, fixed by New; never part of a session snapshot
+	// RestartBackoff is the first delay of the exponential backoff
+	// between restart attempts (guard.Config.BaseDelay), capped at
+	// restartMaxDelay. Default 1ms.
+	RestartBackoff time.Duration //fallvet:derived immutable runtime configuration, fixed by New; never part of a session snapshot
 	// Deadline is the per-sample decision budget: a sample enqueued
 	// at T whose decision lands after T+Deadline counts as a missed
 	// deadline, and the latency breaker trips relative to it.
@@ -114,15 +113,11 @@ type Config struct {
 	// BreakerWindow is how many decision latencies the p99 estimate
 	// is computed over. Default 64.
 	BreakerWindow int //fallvet:derived immutable runtime configuration, fixed by New; never part of a session snapshot
-	// BreakerTrip and BreakerClear are fractions of Deadline: p99
-	// above Trip×Deadline raises the tier ceiling one level, p99
-	// below Clear×Deadline for BreakerHold consecutive decisions
-	// lowers it one level. Defaults 0.8 and 0.4.
-	BreakerTrip  float64 //fallvet:derived immutable runtime configuration, fixed by New; never part of a session snapshot
-	BreakerClear float64 //fallvet:derived immutable runtime configuration, fixed by New; never part of a session snapshot
-	// BreakerHold is the promote hysteresis in decisions. Default:
-	// BreakerWindow.
-	BreakerHold int //fallvet:derived immutable runtime configuration, fixed by New; never part of a session snapshot
+	// BreakerTrip is a fraction of Deadline: p99 at or above
+	// Trip×Deadline raises the tier ceiling one level (p99 at or
+	// below breakerClear×Deadline for BreakerWindow consecutive
+	// decisions lowers it one level). Default 0.8.
+	BreakerTrip float64 //fallvet:derived immutable runtime configuration, fixed by New; never part of a session snapshot
 	// Now is the clock. Default: the monotonic clock, anchored at the
 	// wall time New ran (monotonicNow); tests and the deterministic
 	// soak harness inject a VirtualClock.
@@ -157,9 +152,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.RestartBackoff <= 0 {
 		cfg.RestartBackoff = time.Millisecond
 	}
-	if cfg.RestartMaxDelay <= 0 {
-		cfg.RestartMaxDelay = 50 * time.Millisecond
-	}
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = 150 * time.Millisecond
 	}
@@ -168,12 +160,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.BreakerTrip <= 0 {
 		cfg.BreakerTrip = 0.8
-	}
-	if cfg.BreakerClear <= 0 {
-		cfg.BreakerClear = 0.4
-	}
-	if cfg.BreakerHold <= 0 {
-		cfg.BreakerHold = cfg.BreakerWindow
 	}
 	if cfg.Now == nil {
 		cfg.Now = monotonicNow()

@@ -453,7 +453,6 @@ func TestBreakerDemotesAndRecovers(t *testing.T) {
 	rt := New(Config{
 		Now:           clk.Now,
 		BreakerWindow: 8,
-		BreakerHold:   8,
 		Deadline:      150 * time.Millisecond,
 	})
 	s := rt.Open(f)

@@ -252,6 +252,10 @@ func (s *Session) applyOnce(e entry, pos uint64) (out appliedOut, err error) {
 	return out, nil
 }
 
+// restartMaxDelay caps the exponential backoff between restart
+// attempts (guard.Config.MaxDelay).
+const restartMaxDelay = 50 * time.Millisecond
+
 // restartWithBackoff runs the restore-and-replay protocol under
 // guard.Run: up to MaxRestarts attempts with exponential backoff,
 // each attempt restoring the last snapshot and replaying the log.
@@ -262,7 +266,7 @@ func (s *Session) restartWithBackoff(e entry) (appliedOut, error) {
 	gcfg := guard.Config{
 		Attempts:  s.cfg.MaxRestarts,
 		BaseDelay: s.cfg.RestartBackoff,
-		MaxDelay:  s.cfg.RestartMaxDelay,
+		MaxDelay:  restartMaxDelay,
 		Log:       s.cfg.Log,
 	}
 	err := guard.Run(gcfg, fmt.Sprintf("session-%d-restart", s.ID), func() error {
@@ -337,8 +341,7 @@ func (s *Session) commit(e entry, out appliedOut, start time.Time) time.Time {
 		if now.After(e.deadline) {
 			s.deadlineMissed.Add(1)
 		}
-		lvl, changed := s.brk.observe(now.Sub(start), s.cfg.Deadline,
-			s.cfg.BreakerTrip, s.cfg.BreakerClear, s.cfg.BreakerHold)
+		lvl, changed := s.brk.observe(now.Sub(start), s.cfg.Deadline, s.cfg.BreakerTrip)
 		if changed {
 			s.level.Store(int32(lvl))
 			s.p.SetTierCeiling(breakerCeiling(lvl))
