@@ -276,7 +276,7 @@ func Benchmark_Edge_QuantizedInference(b *testing.B) {
 
 func Benchmark_Edge_StreamingPush(b *testing.B) {
 	th, _ := model.NewThreshold(model.KindThresholdAcc)
-	det, err := edge.NewDetector(th, edge.DetectorConfig{WindowMS: 400, Overlap: 0.5})
+	det, err := edge.NewDetectorOf[float64](th, edge.DetectorConfig{WindowMS: 400, Overlap: 0.5})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func Benchmark_Edge_StreamingPushCNN(b *testing.B) {
 	// The deployment-shaped push: full CNN classifier behind the
 	// streaming pipeline. Steady state must report 0 allocs/op.
 	m, _ := edgeFixtures(b)
-	det, err := edge.NewDetector(m, edge.DetectorConfig{WindowMS: 400, Overlap: 0.5})
+	det, err := edge.NewDetectorOf[float64](m, edge.DetectorConfig{WindowMS: 400, Overlap: 0.5})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func Benchmark_Edge_StreamingPushCNN_Fleet16(b *testing.B) {
 		if err := c.Net.Load(bytes.NewReader(img.Bytes())); err != nil {
 			b.Fatal(err)
 		}
-		if dets[i], err = edge.NewDetector(c, edge.DetectorConfig{WindowMS: 400, Overlap: 0.5}); err != nil {
+		if dets[i], err = edge.NewDetectorOf[float64](c, edge.DetectorConfig{WindowMS: 400, Overlap: 0.5}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -405,7 +405,7 @@ func cascadeFixture(b *testing.B) *cascade.Cascade {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := cascade.New(primary, fallback, cascade.Config{WindowMS: 400, Overlap: 0.5})
+	c, err := cascade.NewOf[float64](primary, fallback, cascade.Config{WindowMS: 400, Overlap: 0.5})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -583,7 +583,7 @@ func Benchmark_Session_Replay(b *testing.B) {
 		b.Fatal(err)
 	}
 	th, _ := model.NewThreshold(model.KindThresholdAcc)
-	det, err := edge.NewDetector(th, edge.DetectorConfig{WindowMS: 400, Overlap: 0.75})
+	det, err := edge.NewDetectorOf[float64](th, edge.DetectorConfig{WindowMS: 400, Overlap: 0.75})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -611,7 +611,7 @@ func serveFixture(b *testing.B, snapshotEvery int) (*serve.Runtime, *serve.Sessi
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := cascade.New(primary, fallback, cascade.Config{WindowMS: 400, Overlap: 0.5})
+	c, err := cascade.NewOf[float64](primary, fallback, cascade.Config{WindowMS: 400, Overlap: 0.5})
 	if err != nil {
 		b.Fatal(err)
 	}

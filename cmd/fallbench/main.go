@@ -90,7 +90,7 @@ func presets(name string) (scale, error) {
 			epochs: 200, patience: 20, maxTrainNeg: 0,
 		}, nil
 	default:
-		return scale{}, fmt.Errorf("unknown scale %q (want ci or paper)", name)
+		return scale{}, fmt.Errorf("unknown scale %q (want quick, ci or paper)", name)
 	}
 }
 
@@ -125,7 +125,9 @@ func (s scale) config(windowMS int, overlap float64, seed int64) falldet.Config 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fallbench: ")
-	exp := flag.String("exp", "all", "experiment id or comma-separated list: table3, table4, edge, fig1, pipeline, sweep, table1, ablation, recovery, soak, all")
+	known := []string{"fig1", "table1", "table2", "table3", "table4", "sweep",
+		"ablation", "edge", "kd", "session", "robustness", "cascade", "recovery", "soak", "pipeline"}
+	exp := flag.String("exp", "all", "experiment id or comma-separated list: "+strings.Join(known, ", ")+", all")
 	scaleName := flag.String("scale", "ci", "cohort/training scale: quick, ci or paper")
 	seed := flag.Int64("seed", 1, "master random seed")
 	verbose := flag.Bool("v", false, "stream per-fold progress to stderr")
@@ -150,8 +152,6 @@ func main() {
 		sc.workers = 1
 	}
 
-	known := []string{"fig1", "table1", "table2", "table3", "table4", "sweep",
-		"ablation", "edge", "kd", "session", "robustness", "cascade", "recovery", "soak", "pipeline"}
 	want := map[string]bool{}
 	for _, name := range strings.Split(*exp, ",") {
 		name = strings.TrimSpace(name)

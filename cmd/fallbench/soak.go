@@ -5,10 +5,7 @@ import (
 	"io"
 	"os"
 
-	"repro/falldet"
-	"repro/internal/cascade"
 	"repro/internal/lint"
-	"repro/internal/model"
 	"repro/internal/serve"
 )
 
@@ -34,21 +31,7 @@ func expSoak(sc scale, seed int64) error {
 		Panics:     sessions / 8,
 		Seed:       seed,
 		Background: serve.SynthBackground(seed, samples),
-		NewPipeline: func() (serve.Pipeline, error) {
-			primary, err := model.NewThreshold(model.KindThresholdAcc)
-			if err != nil {
-				return nil, err
-			}
-			fallback, err := model.NewThreshold(model.KindThresholdAcc)
-			if err != nil {
-				return nil, err
-			}
-			ccfg := cascade.Config{WindowMS: 400, Overlap: 0.5}
-			if sc.precision == falldet.PrecisionF32 {
-				return cascade.NewOf[float32](primary, fallback, ccfg)
-			}
-			return cascade.New(primary, fallback, ccfg)
-		},
+		Precision:  sc.precision,
 	})
 	if err != nil {
 		return err

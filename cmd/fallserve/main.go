@@ -21,26 +21,9 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/cascade"
-	"repro/internal/model"
 	"repro/internal/serve"
 	"repro/internal/tensor"
 )
-
-// newPipeline builds one session's cascade at the requested compiled
-// width. serve.Pipeline is width-agnostic, so sessions of different
-// precisions can share one runtime.
-func newPipeline[S tensor.Scalar]() (serve.Pipeline, error) {
-	primary, err := model.NewThreshold(model.KindThresholdAcc)
-	if err != nil {
-		return nil, err
-	}
-	fallback, err := model.NewThreshold(model.KindThresholdAcc)
-	if err != nil {
-		return nil, err
-	}
-	return cascade.NewOf[S](primary, fallback, cascade.Config{WindowMS: 400, Overlap: 0.5})
-}
 
 func main() {
 	log.SetFlags(0)
@@ -54,22 +37,18 @@ func main() {
 	precision := flag.String("precision", "f64", "compiled scalar width of the session pipelines (f64 or f32)")
 	flag.Parse()
 
-	factory := newPipeline[float64]
-	switch *precision {
-	case "f64", "float64":
-	case "f32", "float32":
-		factory = newPipeline[float32]
-	default:
-		log.Fatalf("unknown -precision %q (want f64 or f32)", *precision)
+	prec, err := tensor.ParsePrecision(*precision)
+	if err != nil {
+		log.Fatalf("-precision: %v", err)
 	}
 
 	cfg := serve.SoakConfig{
-		Sessions:    *sessions,
-		Samples:     *samples,
-		Panics:      *panics,
-		Seed:        *seed,
-		NewPipeline: factory,
-		Background:  serve.SynthBackground(*seed, *samples),
+		Sessions:   *sessions,
+		Samples:    *samples,
+		Panics:     *panics,
+		Seed:       *seed,
+		Precision:  prec,
+		Background: serve.SynthBackground(*seed, *samples),
 	}
 	if *verbose {
 		cfg.Log = log.Printf

@@ -77,7 +77,7 @@ func plain(trial *dataset.Trial, death int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	det, err := edge.NewDetector(clf, edge.DetectorConfig{WindowMS: 200, Overlap: 0.75})
+	det, err := edge.NewDetectorOf[float64](clf, edge.DetectorConfig{WindowMS: 200, Overlap: 0.75})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func cascaded(trial *dataset.Trial, death int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	c, err := cascade.New(primary, fallback, cascade.Config{WindowMS: 200, Overlap: 0.75})
+	c, err := cascade.NewOf[float64](primary, fallback, cascade.Config{WindowMS: 200, Overlap: 0.75})
 	if err != nil {
 		log.Fatal(err)
 	}

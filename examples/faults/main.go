@@ -39,7 +39,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	det, err := edge.NewDetector(clf, edge.DetectorConfig{WindowMS: 200, Overlap: 0.75})
+	det, err := edge.NewDetectorOf[float64](clf, edge.DetectorConfig{WindowMS: 200, Overlap: 0.75})
 	if err != nil {
 		log.Fatal(err)
 	}

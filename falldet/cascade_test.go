@@ -10,6 +10,7 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/dataset"
 	"repro/internal/imu"
+	"repro/internal/model"
 	"repro/internal/tensor"
 )
 
@@ -19,7 +20,7 @@ func rawDetector(t *testing.T, kind Kind, cfg Config) *Detector {
 	t.Helper()
 	cfg = cfg.withDefaults()
 	win := cfg.WindowMS * dataset.SampleRate / 1000
-	m, err := buildModel(kind, win, 0, 0, rand.New(rand.NewSource(cfg.Seed)))
+	m, err := model.NewTrainable(kind, model.Config{WindowSamples: win}, rand.New(rand.NewSource(cfg.Seed)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,11 @@ func Train(d *Dataset, kind Kind, cfg Config) (*Detector, error) {
 		return nil, fmt.Errorf("falldet: no training segments")
 	}
 
-	m, err := buildModel(kind, segCfg.WindowSamples(), pos, len(train), rng)
+	m, err := model.NewTrainable(kind, model.Config{
+		WindowSamples: segCfg.WindowSamples(),
+		PosCount:      pos,
+		TotalCount:    len(train),
+	}, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -78,17 +82,6 @@ func Train(d *Dataset, kind Kind, cfg Config) (*Detector, error) {
 		return nil, err
 	}
 	return &Detector{cfg: cfg, kind: kind, model: m}, nil
-}
-
-func buildModel(kind Kind, winSamples, pos, total int, rng *rand.Rand) (model.Trainable, error) {
-	if kind == KindThresholdAcc || kind == KindThresholdGyro {
-		return model.NewThreshold(kind)
-	}
-	return model.New(kind, model.Config{
-		WindowSamples: winSamples,
-		PosCount:      pos,
-		TotalCount:    total,
-	}, rng)
 }
 
 // Kind returns the detector's model family.
@@ -108,7 +101,7 @@ func (det *Detector) Evaluate(segs []Segment) nn.Confusion {
 
 // Stream wraps the detector in the real-time on-device pipeline.
 func (det *Detector) Stream() (*StreamDetector, error) {
-	return streamAt[float64](det, det.model)
+	return edge.NewDetectorOf[float64](det.model, det.edgeConfig())
 }
 
 // Deployment is the §IV-C on-edge report for a quantized detector.
@@ -247,7 +240,7 @@ func LoadSaved(r io.Reader) (*Detector, error) {
 	cfg := Config{WindowMS: s.WindowMS, Overlap: s.Overlap}.withDefaults()
 	cfg.Threshold = s.Threshold
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	m, err := buildModel(Kind(s.Kind), winSamples, 0, 0, rng)
+	m, err := model.NewTrainable(Kind(s.Kind), model.Config{WindowSamples: winSamples}, rng)
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,6 @@
 package falldet
 
 import (
-	"fmt"
-
 	"repro/internal/cascade"
 	"repro/internal/dataset"
 	"repro/internal/edge"
@@ -19,47 +17,20 @@ import (
 // checkpoint's weights once at construction and scores every window in
 // single precision. See DESIGN.md §14 for what stays float64 at every
 // width (filter accumulators, sensor health, training, metrics).
-type Precision int
+type Precision = tensor.Precision
 
 const (
 	// PrecisionF64 is the double-precision reference pipeline — the
 	// default, bit-identical to the pre-generic implementation.
-	PrecisionF64 Precision = iota
+	PrecisionF64 = tensor.F64
 	// PrecisionF32 is the lowered single-precision deployment
 	// pipeline.
-	PrecisionF32
+	PrecisionF32 = tensor.F32
 )
 
-// String names the precision the way results headers spell it.
-func (p Precision) String() string {
-	switch p {
-	case PrecisionF64:
-		return "f64"
-	case PrecisionF32:
-		return "f32"
-	}
-	return fmt.Sprintf("precision(%d)", int(p))
-}
-
-// ParsePrecision reads the spellings String produces ("f64", "f32";
-// "float64"/"float32" are accepted as aliases).
-func ParsePrecision(s string) (Precision, error) {
-	switch s {
-	case "f64", "float64":
-		return PrecisionF64, nil
-	case "f32", "float32":
-		return PrecisionF32, nil
-	}
-	return 0, fmt.Errorf("falldet: unknown precision %q (want f64 or f32)", s)
-}
-
-// streamAt builds the detector's streaming pipeline at compiled width
-// S. At float32 the float64 checkpoint's weights are lowered once
-// here, and every subsequent window scores in single precision; the
-// float64 training artefact is untouched.
-func streamAt[S tensor.Scalar](det *Detector, clf model.Classifier) (*edge.DetectorOf[S], error) {
-	return edge.NewDetectorOf[S](clf, det.edgeConfig())
-}
+// ParsePrecision reads the spellings Precision.String produces ("f64",
+// "f32"; "float64"/"float32" are accepted as aliases).
+func ParsePrecision(s string) (Precision, error) { return tensor.ParsePrecision(s) }
 
 // edgeConfig is the detector's streaming geometry and threshold in
 // edge's form. det.cfg went through withDefaults, so Threshold is the
@@ -100,7 +71,9 @@ func cascadeStreamAt[S tensor.Scalar](cd *CascadeDetector, primary, fallback mod
 // evalRobustnessAt is EvaluateRobustness compiled at width S.
 func evalRobustnessAt[S tensor.Scalar](det *Detector, d *Dataset, cfg RobustnessConfig) (*RobustnessReport, error) {
 	dets, err := perWorker(cfg.Workers, []model.Classifier{det.model},
-		func(m []model.Classifier) (*edge.DetectorOf[S], error) { return streamAt[S](det, m[0]) })
+		func(m []model.Classifier) (*edge.DetectorOf[S], error) {
+			return edge.NewDetectorOf[S](m[0], det.edgeConfig())
+		})
 	if err != nil {
 		return nil, err
 	}

@@ -13,21 +13,6 @@ import (
 	"repro/internal/nn"
 )
 
-func TestPrecisionStringParse(t *testing.T) {
-	for _, p := range []Precision{PrecisionF64, PrecisionF32} {
-		got, err := ParsePrecision(p.String())
-		if err != nil || got != p {
-			t.Fatalf("ParsePrecision(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-	if got, err := ParsePrecision("float32"); err != nil || got != PrecisionF32 {
-		t.Fatalf("alias float32: %v, %v", got, err)
-	}
-	if _, err := ParsePrecision("f16"); err == nil {
-		t.Fatal("f16 accepted")
-	}
-}
-
 // v1Envelope reframes an envelope's decoded parts in the pre-dtype
 // version-1 layout: magic | version=1 | kind | shape | payload | digest.
 func v1Envelope(kind string, shape []int, payload []byte) []byte {

@@ -19,6 +19,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"repro/internal/tensor"
 )
 
 // Magic opens every envelope; Version is the current format revision.
@@ -27,7 +29,7 @@ import (
 //
 //	1 — magic | version | kind | shape | payload | sha256. Everything a
 //	    version-1 writer produced held float64 state, so readers treat
-//	    these as DTypeF64.
+//	    these as tensor.F64.
 //	2 — a dtype byte follows the version, naming the scalar width of
 //	    the payload's numeric state. Version-1 envelopes still load.
 const (
@@ -56,8 +58,8 @@ type Header struct {
 	Version uint32
 	// DType is the scalar width of the payload's numeric state.
 	// Version-1 envelopes predate the field and always decode as
-	// DTypeF64.
-	DType DType
+	// tensor.F64.
+	DType tensor.Precision
 	// Kind tags the payload codec/family, e.g. "qnet-int8" or
 	// "nn-float64".
 	Kind string
@@ -69,22 +71,18 @@ type Header struct {
 // digestSize is the SHA-256 trailer length.
 const digestSize = sha256.Size
 
-// Write frames payload in a verified envelope. Layout (all integers
-// little-endian):
+// Write frames a float64 payload in a verified envelope. Layout (all
+// integers little-endian):
 //
 //	magic[4] | version u32 | dtype u8 | kindLen u16 | kind |
 //	shapeLen u16 | dims i32... | payloadLen u32 | payload | sha256[32]
 //
-// The digest covers every byte before it. Write stamps DTypeF64 — the
-// width of every envelope this repository wrote before the field
-// existed; use WriteDType for lowered payloads.
+// The digest covers every byte before it. Every payload written
+// through an io.Writer (network weights, quantized images, detector
+// bundles) is float64 state; lowered pipeline state goes through
+// AppendEnvelope with its own width.
 func Write(w io.Writer, kind string, shape []int, payload []byte) error {
-	return WriteDType(w, kind, shape, DTypeF64, payload)
-}
-
-// WriteDType is Write with an explicit payload scalar width.
-func WriteDType(w io.Writer, kind string, shape []int, dt DType, payload []byte) error {
-	env, err := AppendEnvelopeDType(nil, kind, shape, dt, payload)
+	env, err := AppendEnvelope(nil, kind, shape, tensor.F64, payload)
 	if err != nil {
 		return err
 	}
@@ -92,19 +90,13 @@ func WriteDType(w io.Writer, kind string, shape []int, dt DType, payload []byte)
 	return err
 }
 
-// AppendEnvelope appends the framed envelope to dst and returns the
-// extended slice — the allocation-free form of Write for callers that
-// snapshot periodically and reuse a buffer (serve sessions checkpoint
-// every stride; a fresh ~3 KiB envelope per checkpoint was the last
-// steady-state allocation on that path). dst may be nil. The envelope
-// is stamped DTypeF64; see AppendEnvelopeDType.
-func AppendEnvelope(dst []byte, kind string, shape []int, payload []byte) ([]byte, error) {
-	return AppendEnvelopeDType(dst, kind, shape, DTypeF64, payload)
-}
-
-// AppendEnvelopeDType is AppendEnvelope with an explicit payload
-// scalar width in the header.
-func AppendEnvelopeDType(dst []byte, kind string, shape []int, dt DType, payload []byte) ([]byte, error) {
+// AppendEnvelope appends the framed envelope, stamped with payload
+// width dt, to dst and returns the extended slice — the
+// allocation-free form of Write for callers that snapshot
+// periodically and reuse a buffer (serve sessions checkpoint every
+// stride; a fresh ~3 KiB envelope per checkpoint was the last
+// steady-state allocation on that path). dst may be nil.
+func AppendEnvelope(dst []byte, kind string, shape []int, dt tensor.Precision, payload []byte) ([]byte, error) {
 	if !dt.Valid() {
 		return dst, fmt.Errorf("artifact: cannot write %s envelope", dt)
 	}
@@ -176,15 +168,15 @@ func Read(r io.Reader) (Header, []byte, error) {
 	if h.Version == 0 || h.Version > Version {
 		return h, nil, fmt.Errorf("artifact: unsupported format version %d (this build reads ≤ %d)", h.Version, Version)
 	}
-	h.DType = DTypeF64
+	h.DType = tensor.F64
 	if h.Version >= 2 {
 		if err := need(1, "dtype"); err != nil {
 			return h, nil, err
 		}
-		h.DType = DType(raw[pos])
+		h.DType = tensor.Precision(raw[pos])
 		pos++
 		if !h.DType.Valid() {
-			return h, nil, fmt.Errorf("artifact: unknown payload %s", h.DType)
+			return h, nil, fmt.Errorf("artifact: unknown payload dtype %d", uint8(h.DType))
 		}
 	}
 	if err := need(2, "kind length"); err != nil {

@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"strings"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 // v1Envelope frames payload exactly as every pre-dtype writer did:
@@ -40,8 +42,8 @@ func TestVersion1LoadsAsFloat64(t *testing.T) {
 	if h.Version != 1 {
 		t.Fatalf("version %d, want 1", h.Version)
 	}
-	if h.DType != DTypeF64 {
-		t.Fatalf("v1 envelope decoded as %s, want %s", h.DType, DTypeF64)
+	if h.DType != tensor.F64 {
+		t.Fatalf("v1 envelope decoded as %s, want %s", h.DType, tensor.F64)
 	}
 	if h.Kind != "nn-float64" || len(h.Shape) != 2 || h.Shape[0] != 40 || h.Shape[1] != 9 {
 		t.Fatalf("header %+v", h)
@@ -75,12 +77,12 @@ func TestVersion1ChaosRejected(t *testing.T) {
 // The dtype byte must round-trip for both widths and reject everything
 // else, at write and at read.
 func TestDTypeHeader(t *testing.T) {
-	for _, dt := range []DType{DTypeF64, DTypeF32} {
-		var buf bytes.Buffer
-		if err := WriteDType(&buf, "k", []int{3}, dt, []byte("p")); err != nil {
+	for _, dt := range []tensor.Precision{tensor.F64, tensor.F32} {
+		env, err := AppendEnvelope(nil, "k", []int{3}, dt, []byte("p"))
+		if err != nil {
 			t.Fatal(err)
 		}
-		h, _, err := Read(bytes.NewReader(buf.Bytes()))
+		h, _, err := Read(bytes.NewReader(env))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,8 +90,7 @@ func TestDTypeHeader(t *testing.T) {
 			t.Fatalf("round-trip header %+v, want dtype %s", h, dt)
 		}
 	}
-	var buf bytes.Buffer
-	if err := WriteDType(&buf, "k", nil, DType(7), nil); err == nil {
+	if _, err := AppendEnvelope(nil, "k", nil, tensor.Precision(7), nil); err == nil {
 		t.Fatal("invalid dtype written")
 	}
 	// A v2 envelope whose dtype byte is garbage must fail with a

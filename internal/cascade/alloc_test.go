@@ -21,7 +21,7 @@ func newCNNCascade(t testing.TB) *Cascade {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(primary, fallback, Config{WindowMS: 400, Overlap: 0.5})
+	c, err := NewOf[float64](primary, fallback, Config{WindowMS: 400, Overlap: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,9 +108,9 @@ type CascadeOf[S tensor.Scalar] struct {
 	samples   int // pushes seen (real + missing)
 	sinceEval int // pushes since the last emitted decision
 
-	//fallvet:derived modeled worst-case cycles per sample, fixed by New from the device model and classifier costs
+	//fallvet:derived modeled worst-case cycles per sample, fixed by NewOf from the device model and classifier costs
 	perSample [NumTiers]float64
-	//fallvet:derived cycles available per sample period, fixed by New from the device model
+	//fallvet:derived cycles available per sample period, fixed by NewOf from the device model
 	budget    float64
 	tierEvals [NumTiers]int
 
@@ -123,18 +123,13 @@ type CascadeOf[S tensor.Scalar] struct {
 // behaviour, and the width all evaluation and training tooling uses.
 type Cascade = CascadeOf[float64]
 
-// New builds a cascade around the primary classifier. fallback may be
-// nil, in which case tier 1 falls through to the threshold floor.
-func New(primary, fallback model.Classifier, cfg Config) (*Cascade, error) {
-	return NewOf[float64](primary, fallback, cfg)
-}
-
-// NewOf builds the cascade at scalar width S; see DESIGN.md §14 for
-// the precision model. The float32 instantiation requires both CNN
-// tiers to be streamable (edge.NewDetectorOf lowers their weights at
-// attach time); a fallback the float32 streamer cannot compile keeps
-// scoring in batch form through an exact widening, like any other
-// unattached classifier.
+// NewOf builds a cascade around the primary classifier at scalar
+// width S; see DESIGN.md §14 for the precision model. fallback may be
+// nil, in which case tier 1 falls through to the threshold floor. The
+// float32 instantiation requires both CNN tiers to be streamable
+// (edge.NewDetectorOf lowers their weights at attach time); a fallback
+// the float32 streamer cannot compile keeps scoring in batch form
+// through an exact widening, like any other unattached classifier.
 func NewOf[S tensor.Scalar](primary, fallback model.Classifier, cfg Config) (*CascadeOf[S], error) {
 	if primary == nil {
 		return nil, fmt.Errorf("cascade: nil primary classifier")
@@ -160,7 +155,7 @@ func NewOf[S tensor.Scalar](primary, fallback model.Classifier, cfg Config) (*Ca
 		// Best-effort: a fallback the streamer cannot cache (MLP,
 		// recurrent) simply keeps scoring in batch form via
 		// ScoreWindow, bit-identically. The primary is attached by
-		// NewDetector itself.
+		// NewDetectorOf itself.
 		det.AttachStream(fallback)
 	}
 	c.perSample[TierPrimary] = dev.FusionCyclesPerSample + inferenceCycles(dev, cfg.PrimaryCost)

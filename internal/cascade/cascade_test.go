@@ -24,7 +24,7 @@ func newTestCascade(t *testing.T, cfg Config) *Cascade {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(primary, fallback, cfg)
+	c, err := NewOf[float64](primary, fallback, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestCascadeWithinBudgetByDefault(t *testing.T) {
 	}
 	cfg := testCfg
 	cfg.PrimaryCost, cfg.FallbackCost = pc, fc
-	c, err := New(primary, fallback, cfg)
+	c, err := NewOf[float64](primary, fallback, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestCascadeNilFallbackFallsThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(primary, nil, testCfg)
+	c, err := NewOf[float64](primary, nil, testCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

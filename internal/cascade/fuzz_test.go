@@ -32,7 +32,7 @@ func FuzzCascadePush(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := New(primary, fallback, Config{WindowMS: 200, Overlap: 0.5})
+		c, err := NewOf[float64](primary, fallback, Config{WindowMS: 200, Overlap: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}

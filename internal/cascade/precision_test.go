@@ -49,7 +49,7 @@ func snapshotKillRestoreAt[S tensor.Scalar](t *testing.T) {
 	for k := 0; quietLen+k < 600; k++ {
 		if quietLen+k == snapAt {
 			var err error
-			img, err = ref.SnapshotBytes()
+			img, err = ref.AppendSnapshot(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +103,7 @@ func snapshotContinuationAt[S tensor.Scalar](t *testing.T) {
 	for i := 0; i < 333; i++ {
 		push(ref, i)
 	}
-	img, err := ref.SnapshotBytes()
+	img, err := ref.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,19 +116,15 @@ func snapshotContinuationAt[S tensor.Scalar](t *testing.T) {
 			t.Fatalf("decisions diverge at sample %d:\n ref      %+v\n restored %+v", i, da, db)
 		}
 	}
-	a, err := ref.SnapshotBytes()
+	a, err := ref.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := restored.SnapshotBytes()
+	b, err := restored.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eq, err := SnapshotEqual(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq {
+	if !bytes.Equal(a, b) {
 		t.Fatal("post-continuation snapshots differ")
 	}
 }
@@ -144,11 +140,11 @@ func TestSnapshotWidthMismatchRejected(t *testing.T) {
 		c64.Push(acc, gyro)
 		c32.Push(acc, gyro)
 	}
-	img64, err := c64.SnapshotBytes()
+	img64, err := c64.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	img32, err := c32.SnapshotBytes()
+	img32, err := c32.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

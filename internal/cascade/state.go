@@ -1,17 +1,17 @@
 package cascade
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math"
 
 	"repro/internal/artifact"
+	"repro/internal/tensor"
 )
 
 // Cascade snapshots. A serving runtime that restarts a crashed session
 // from a cold cascade loses a full window of warm-up — blind time a
-// pre-impact detector cannot afford. Snapshot captures every mutable
+// pre-impact detector cannot afford. AppendSnapshot captures every mutable
 // field of the cascade (the detector pipeline, the threshold floor's
 // integrator, the supervisor state machine, the tier counters) inside a
 // verified artifact envelope; Restore applied to a configuration-
@@ -25,31 +25,20 @@ const StateKind = "cascade-state"
 // cascadeStateVersion guards the field layout below.
 const cascadeStateVersion = 1
 
-// Snapshot serialises the cascade's complete mutable state to w as a
-// digest-verified artifact envelope. The envelope shape records the
-// streaming geometry ([Window, Step]); the payload additionally carries
-// a configuration fingerprint (threshold, budget tiers, hysteresis) so
-// Restore refuses a snapshot from a differently-built cascade.
-func (c *CascadeOf[S]) Snapshot(w io.Writer) error {
-	c.snapScratch = c.appendStatePayload(c.snapScratch[:0])
-	return artifact.WriteDType(w, StateKind, []int{c.det.Window, c.det.Step},
-		artifact.DTypeOf[S](), c.snapScratch)
-}
-
-// AppendSnapshot appends the snapshot envelope to dst and returns the
-// extended slice — the allocation-free form of Snapshot. The payload
-// is staged in a scratch buffer the cascade owns and reuses, so a
-// serving session checkpointing every stride allocates nothing at
-// steady state once dst and the scratch have grown to size.
+// AppendSnapshot appends the cascade's complete mutable state to dst
+// as a digest-verified artifact envelope and returns the extended
+// slice. The envelope shape records the streaming geometry ([Window,
+// Step]) and its dtype the compiled width; the payload additionally
+// carries a configuration fingerprint (threshold, budget tiers,
+// hysteresis) so Restore refuses a snapshot from a differently-built
+// cascade. The payload is staged in a scratch buffer the cascade owns
+// and reuses, so a serving session checkpointing every stride
+// allocates nothing at steady state once dst and the scratch have
+// grown to size. dst may be nil.
 func (c *CascadeOf[S]) AppendSnapshot(dst []byte) ([]byte, error) {
 	c.snapScratch = c.appendStatePayload(c.snapScratch[:0])
-	return artifact.AppendEnvelopeDType(dst, StateKind, []int{c.det.Window, c.det.Step},
-		artifact.DTypeOf[S](), c.snapScratch)
-}
-
-// SnapshotBytes is Snapshot into a fresh buffer.
-func (c *CascadeOf[S]) SnapshotBytes() ([]byte, error) {
-	return c.AppendSnapshot(nil)
+	return artifact.AppendEnvelope(dst, StateKind, []int{c.det.Window, c.det.Step},
+		tensor.PrecisionOf[S](), c.snapScratch)
 }
 
 // appendStatePayload appends the envelope payload — every mutable
@@ -74,7 +63,7 @@ func (c *CascadeOf[S]) appendStatePayload(dst []byte) []byte {
 	return c.det.AppendState(dst)
 }
 
-// Restore applies a Snapshot image to the cascade. The receiver must be
+// Restore applies an AppendSnapshot image to the cascade. The receiver must be
 // built with the same configuration (geometry, threshold, budget,
 // hysteresis, fallback presence) as the cascade that produced the
 // snapshot; any mismatch — or any corruption, which the envelope digest
@@ -92,7 +81,7 @@ func (c *CascadeOf[S]) Restore(rd io.Reader) error {
 		return fmt.Errorf("cascade: snapshot geometry %v, cascade is [%d %d]",
 			h.Shape, c.det.Window, c.det.Step)
 	}
-	if want := artifact.DTypeOf[S](); h.DType != want {
+	if want := tensor.PrecisionOf[S](); h.DType != want {
 		// The envelope-level check catches a width mismatch before any
 		// payload decoding; the detector state carries (and re-checks)
 		// its own dtype word.
@@ -160,29 +149,4 @@ func (c *CascadeOf[S]) RestoreFresh(rd io.Reader) error {
 		return err
 	}
 	return nil
-}
-
-// SnapshotEqual replays nothing and mutates nothing: it reports whether
-// two snapshot images decode to the same cascade state, ignoring the
-// envelope bytes themselves. Since the payload encoding is canonical
-// (fixed-width little-endian, no maps), byte equality of the payloads
-// is state equality; the helper exists so tests and the serving
-// runtime's restore verification can compare states without poking
-// fields.
-func SnapshotEqual(a, b []byte) (bool, error) {
-	ha, pa, err := artifact.Read(bytes.NewReader(a))
-	if err != nil {
-		return false, err
-	}
-	hb, pb, err := artifact.Read(bytes.NewReader(b))
-	if err != nil {
-		return false, err
-	}
-	if err := artifact.CheckKind(ha, StateKind); err != nil {
-		return false, err
-	}
-	if err := artifact.CheckKind(hb, StateKind); err != nil {
-		return false, err
-	}
-	return bytes.Equal(pa, pb), nil
 }

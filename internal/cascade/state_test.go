@@ -40,7 +40,7 @@ func TestSnapshotRoundTripBitIdentical(t *testing.T) {
 	for i := 0; i < 333; i++ {
 		pushAt(ref, i)
 	}
-	img, err := ref.SnapshotBytes()
+	img, err := ref.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,19 +60,15 @@ func TestSnapshotRoundTripBitIdentical(t *testing.T) {
 		t.Fatalf("fault counters diverged:\n ref      %+v\n restored %+v",
 			ref.Detector().Stats(), restored.Detector().Stats())
 	}
-	a, err := ref.SnapshotBytes()
+	a, err := ref.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := restored.SnapshotBytes()
+	b, err := restored.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eq, err := SnapshotEqual(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq {
+	if !bytes.Equal(a, b) {
 		t.Fatal("post-continuation snapshots differ")
 	}
 }
@@ -103,7 +99,7 @@ func TestSnapshotMidFallSameTrigger(t *testing.T) {
 	for k := 0; quietLen+k < 600; k++ {
 		if quietLen+k == snapAt {
 			var err error
-			img, err = ref.SnapshotBytes()
+			img, err = ref.AppendSnapshot(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +150,7 @@ func TestSnapshotCeilingSurvives(t *testing.T) {
 		t.Fatalf("raw supervisor tier %v, want %v (ceiling must not leak into the state machine)",
 			c.SupervisorTier(), TierPrimary)
 	}
-	img, err := c.SnapshotBytes()
+	img, err := c.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +179,7 @@ func TestRestoreRejectsMismatchAndCorruption(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		pushAt(c, i)
 	}
-	img, err := c.SnapshotBytes()
+	img, err := c.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +246,7 @@ func TestSnapshotMidMotionCNNStreamsBitIdentical(t *testing.T) {
 	for i := 0; i < snapAt; i++ {
 		push(ref, i)
 	}
-	img, err := ref.SnapshotBytes()
+	img, err := ref.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,19 +273,15 @@ func TestSnapshotMidMotionCNNStreamsBitIdentical(t *testing.T) {
 	if evaluated == 0 {
 		t.Fatal("fixture broken: no evaluations after the snapshot point")
 	}
-	a, err := ref.SnapshotBytes()
+	a, err := ref.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := restored.SnapshotBytes()
+	b, err := restored.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eq, err := SnapshotEqual(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq {
+	if !bytes.Equal(a, b) {
 		t.Fatal("post-continuation snapshots differ")
 	}
 }

@@ -19,7 +19,7 @@ func TestDetectorPushAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := NewDetector(m, DetectorConfig{WindowMS: 400, Overlap: 0.5})
+	det, err := NewDetectorOf[float64](m, DetectorConfig{WindowMS: 400, Overlap: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,17 +85,17 @@ func TestModelCostOrdering(t *testing.T) {
 
 func TestDetectorConfigErrors(t *testing.T) {
 	clf, _ := model.NewThreshold(model.KindThresholdAcc)
-	if _, err := NewDetector(clf, DetectorConfig{WindowMS: 5}); err == nil {
+	if _, err := NewDetectorOf[float64](clf, DetectorConfig{WindowMS: 5}); err == nil {
 		t.Error("tiny window accepted")
 	}
-	if _, err := NewDetector(clf, DetectorConfig{WindowMS: 400, Overlap: 1}); err == nil {
+	if _, err := NewDetectorOf[float64](clf, DetectorConfig{WindowMS: 400, Overlap: 1}); err == nil {
 		t.Error("overlap 1 accepted")
 	}
 }
 
 func TestDetectorStride(t *testing.T) {
 	clf, _ := model.NewThreshold(model.KindThresholdAcc)
-	det, err := NewDetector(clf, DetectorConfig{WindowMS: 400, Overlap: 0.5})
+	det, err := NewDetectorOf[float64](clf, DetectorConfig{WindowMS: 400, Overlap: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestDetectorStride(t *testing.T) {
 
 func TestDetectorQuietStandingNoTrigger(t *testing.T) {
 	clf, _ := model.NewThreshold(model.KindThresholdAcc)
-	det, _ := NewDetector(clf, DetectorConfig{WindowMS: 400, Overlap: 0.5})
+	det, _ := NewDetectorOf[float64](clf, DetectorConfig{WindowMS: 400, Overlap: 0.5})
 	for i := 0; i < 500; i++ {
 		r := det.Push(imu.Vec3{Z: 1}, imu.Vec3{})
 		if r.Triggered {
@@ -135,7 +135,7 @@ func TestDetectorSimulateFallTrialWithThreshold(t *testing.T) {
 	tr := synth.GenerateTrial(subj, task, 0, 6, rng)
 
 	clf, _ := model.NewThreshold(model.KindThresholdAcc)
-	det, _ := NewDetector(clf, DetectorConfig{WindowMS: 200, Overlap: 0.75})
+	det, _ := NewDetectorOf[float64](clf, DetectorConfig{WindowMS: 200, Overlap: 0.75})
 	sim := det.Simulate(&tr)
 	if !sim.Triggered {
 		t.Fatal("threshold detector missed a hard trip fall")
@@ -155,7 +155,7 @@ func TestDetectorSimulateWalkNoFalseAlarm(t *testing.T) {
 	tr := synth.GenerateTrial(subj, task, 0, 8, rng)
 
 	clf, _ := model.NewThreshold(model.KindThresholdAcc)
-	det, _ := NewDetector(clf, DetectorConfig{WindowMS: 200, Overlap: 0.75})
+	det, _ := NewDetectorOf[float64](clf, DetectorConfig{WindowMS: 200, Overlap: 0.75})
 	sim := det.Simulate(&tr)
 	if sim.FalseAlarm {
 		t.Fatal("walking triggered the airbag")
@@ -167,7 +167,7 @@ func TestDetectorSimulateWalkNoFalseAlarm(t *testing.T) {
 
 func TestDetectorResetIsolation(t *testing.T) {
 	clf, _ := model.NewThreshold(model.KindThresholdAcc)
-	det, _ := NewDetector(clf, DetectorConfig{WindowMS: 200, Overlap: 0.5})
+	det, _ := NewDetectorOf[float64](clf, DetectorConfig{WindowMS: 200, Overlap: 0.5})
 	// Saturate with free fall, then reset; a quiet stream must not
 	// trigger from stale ring contents.
 	for i := 0; i < 100; i++ {
@@ -185,7 +185,7 @@ func TestDetectorWindowAssemblyOrder(t *testing.T) {
 	// Feed a monotone ramp on acc X and capture the classified window
 	// via a probe classifier: rows must be oldest-first.
 	probe := &probeClf{}
-	det, _ := NewDetector(probe, DetectorConfig{WindowMS: 100, Overlap: 0})
+	det, _ := NewDetectorOf[float64](probe, DetectorConfig{WindowMS: 100, Overlap: 0})
 	for i := 0; i < 10; i++ {
 		det.Push(imu.Vec3{X: float64(i), Z: 1}, imu.Vec3{})
 	}
@@ -225,7 +225,7 @@ func TestSimulateLeadTime(t *testing.T) {
 		tr.Samples = append(tr.Samples, s)
 	}
 	clf, _ := model.NewThreshold(model.KindThresholdAcc)
-	det, _ := NewDetector(clf, DetectorConfig{WindowMS: 200, Overlap: 0.75})
+	det, _ := NewDetectorOf[float64](clf, DetectorConfig{WindowMS: 200, Overlap: 0.75})
 	sim := det.Simulate(&tr)
 	if !sim.Triggered {
 		t.Fatal("no trigger on synthetic free fall")

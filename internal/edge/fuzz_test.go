@@ -25,7 +25,7 @@ func FuzzDetectorPush(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	det, err := NewDetector(clf, DetectorConfig{WindowMS: 200, Overlap: 0.5})
+	det, err := NewDetectorOf[float64](clf, DetectorConfig{WindowMS: 200, Overlap: 0.5})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -76,14 +76,14 @@ func FuzzIncrementalScore(f *testing.F) {
 		f.Fatal(err)
 	}
 	cfg := DetectorConfig{WindowMS: 400, Overlap: 0.5}
-	streamDet, err := NewDetector(m, cfg)
+	streamDet, err := NewDetectorOf[float64](m, cfg)
 	if err != nil {
 		f.Fatal(err)
 	}
 	if len(streamDet.streams) == 0 {
 		f.Fatal("CNN detector did not attach an incremental scorer — fuzz would compare batch to batch")
 	}
-	batchDet, err := NewDetector(batchOnly{m}, cfg)
+	batchDet, err := NewDetectorOf[float64](batchOnly{m}, cfg)
 	if err != nil {
 		f.Fatal(err)
 	}

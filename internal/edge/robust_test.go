@@ -18,7 +18,7 @@ func newThresholdDetector(t *testing.T, cfg DetectorConfig) *Detector {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := NewDetector(clf, cfg)
+	det, err := NewDetectorOf[float64](clf, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,14 +161,14 @@ func TestHealthStateMachine(t *testing.T) {
 
 func TestThresholdSentinels(t *testing.T) {
 	clf, _ := model.NewThreshold(model.KindThresholdAcc)
-	d1, err := NewDetector(clf, DetectorConfig{WindowMS: 200})
+	d1, err := NewDetectorOf[float64](clf, DetectorConfig{WindowMS: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d1.Threshold != DefaultThreshold {
 		t.Fatalf("unset threshold resolved to %g, want %g", d1.Threshold, DefaultThreshold)
 	}
-	d2, err := NewDetector(clf, DetectorConfig{WindowMS: 200, Threshold: ThresholdAlways})
+	d2, err := NewDetectorOf[float64](clf, DetectorConfig{WindowMS: 200, Threshold: ThresholdAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestThresholdSentinels(t *testing.T) {
 			t.Fatal("threshold 0 did not trigger on an evaluated window")
 		}
 	}
-	d3, err := NewDetector(clf, DetectorConfig{WindowMS: 200, Threshold: 0.9})
+	d3, err := NewDetectorOf[float64](clf, DetectorConfig{WindowMS: 200, Threshold: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/imu"
+	"repro/internal/tensor"
 )
 
 // Runtime-state snapshots. A warm detector is expensive to lose: the
@@ -44,7 +45,7 @@ const filterKindFloat = 0
 // can never be applied to a differently-shaped pipeline.
 func (d *DetectorOf[S]) AppendState(dst []byte) []byte {
 	dst = artifact.AppendUint64(dst, detectorStateVersion)
-	dst = artifact.AppendUint64(dst, uint64(artifact.DTypeOf[S]()))
+	dst = artifact.AppendUint64(dst, uint64(tensor.PrecisionOf[S]()))
 	dst = artifact.AppendInt(dst, d.Window)
 	dst = artifact.AppendInt(dst, d.Step)
 	dst = artifact.AppendFloat(dst, d.Threshold)
@@ -125,14 +126,17 @@ func (d *DetectorOf[S]) ReadState(r *artifact.StateReader) error {
 	}
 	// Version 1 predates the dtype word; everything it could hold is
 	// float64 state.
-	dt := artifact.DTypeF64
+	dt := tensor.F64
 	if v >= 2 {
-		dt = artifact.DType(r.Uint64())
-		if r.Err() == nil && !dt.Valid() {
-			return fmt.Errorf("edge: detector state dtype %s", dt)
+		// Check the whole word: Precision is a byte, so 256 would
+		// narrow to F64.
+		w := r.Uint64()
+		dt = tensor.Precision(w)
+		if r.Err() == nil && (uint64(dt) != w || !dt.Valid()) {
+			return fmt.Errorf("edge: detector state dtype %d", w)
 		}
 	}
-	if want := artifact.DTypeOf[S](); r.Err() == nil && dt != want {
+	if want := tensor.PrecisionOf[S](); r.Err() == nil && dt != want {
 		return fmt.Errorf("edge: snapshot is %s state, detector runs %s", dt, want)
 	}
 	win, step := r.Int(), r.Int()
@@ -231,7 +235,7 @@ func (d *DetectorOf[S]) ReadState(r *artifact.StateReader) error {
 	d.fusion.SetState(fs)
 
 	// The incremental scoring caches are a pure function of the ring
-	// and the absolute sample count (nn.Streamer's rebuild invariant),
+	// and the absolute sample count (nn.StreamerOf's rebuild invariant),
 	// so they are not serialised: replaying the restored ring puts
 	// every conv/pool ring and deque in the exact state of a detector
 	// that never stopped — which keeps crash-replay decision streams

@@ -76,7 +76,7 @@ type DetectorOf[S tensor.Scalar] struct {
 	// (DESIGN.md §12): every ingested row feeds them, and ScoreWindow
 	// answers from the cached conv/pool rings instead of re-running
 	// the network over the full window. Attachment is best-effort —
-	// a classifier the nn.Streamer cannot cache simply scores in
+	// a classifier the nn.StreamerOf cannot cache simply scores in
 	// batch form, bit-identically.
 	//fallvet:derived incremental-scorer cache, rebuilt row by row via rebuildStream after ReadState
 	streams []attachedStreamOf[S]
@@ -145,17 +145,11 @@ type DetectorConfig struct {
 	Threshold float64
 }
 
-// NewDetector builds the float64 reference pipeline around a trained
-// classifier.
-func NewDetector(clf model.Classifier, cfg DetectorConfig) (*Detector, error) {
-	return NewDetectorOf[float64](clf, cfg)
-}
-
-// NewDetectorOf builds the pipeline at scalar width S. At float32 the
-// classifier's network weights are lowered once at attach time (see
-// AttachStream); classifiers without an attachable incremental scorer
-// fall back to batch scoring through an exact float64 widening of the
-// assembled window.
+// NewDetectorOf builds the pipeline around a trained classifier at
+// scalar width S. At float32 the classifier's network weights are
+// lowered once at attach time (see AttachStream); classifiers without
+// an attachable incremental scorer fall back to batch scoring through
+// an exact float64 widening of the assembled window.
 func NewDetectorOf[S tensor.Scalar](clf model.Classifier, cfg DetectorConfig) (*DetectorOf[S], error) {
 	win := cfg.WindowMS * dataset.SampleRate / 1000
 	if win < 2 {
@@ -198,7 +192,7 @@ func NewDetectorOf[S tensor.Scalar](clf model.Classifier, cfg DetectorConfig) (*
 	return d, nil
 }
 
-// AttachStream attaches an incremental scorer (nn.Streamer) to clf:
+// AttachStream attaches an incremental scorer (nn.StreamerOf) to clf:
 // subsequent ScoreWindow(clf) calls at aligned strides answer from
 // cached per-layer rings instead of re-running the network over the
 // whole window, bit-identically. It returns false — and the
@@ -234,7 +228,7 @@ func (d *DetectorOf[S]) AttachStream(clf model.Classifier) bool {
 
 // rebuildStream replays the ring into stream i so its caches reach
 // the exact state of a streamer that saw every row — the invariant
-// nn.Streamer.Restart documents. Used at attach and state restore.
+// nn.StreamerOf.Restart documents. Used at attach and state restore.
 func (d *DetectorOf[S]) rebuildStream(i int) {
 	st := d.streams[i].st
 	n := d.count

@@ -126,18 +126,6 @@ func (r *Result) AllScored() []ScoredSegment {
 	return out
 }
 
-// buildTrainable constructs a fresh model for a fold.
-func buildTrainable(kind model.Kind, winSamples, pos, total int, rng *rand.Rand) (model.Trainable, error) {
-	if kind == model.KindThresholdAcc || kind == model.KindThresholdGyro {
-		return model.NewThreshold(kind)
-	}
-	return model.New(kind, model.Config{
-		WindowSamples: winSamples,
-		PosCount:      pos,
-		TotalCount:    total,
-	}, rng)
-}
-
 func toExamples(segs []dataset.Segment) []nn.Example {
 	out := make([]nn.Example, len(segs))
 	for i := range segs {
@@ -233,7 +221,11 @@ func runFold(kind model.Kind, cfg PipelineConfig, res *Result, segs []dataset.Se
 			return FoldResult{}, err
 		}
 	} else {
-		tm, err := buildTrainable(kind, cfg.Segment.WindowSamples(), biasPos, biasTotal, foldRng)
+		tm, err := model.NewTrainable(kind, model.Config{
+			WindowSamples: cfg.Segment.WindowSamples(),
+			PosCount:      biasPos,
+			TotalCount:    biasTotal,
+		}, foldRng)
 		if err != nil {
 			return FoldResult{}, err
 		}

@@ -88,7 +88,7 @@ func TestEvaluateRobustnessParallelIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dets[i], err = edge.NewDetector(clf, edge.DetectorConfig{WindowMS: 200, Overlap: 0.75})
+		dets[i], err = edge.NewDetectorOf[float64](clf, edge.DetectorConfig{WindowMS: 200, Overlap: 0.75})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,7 @@ func cascadeFixture(t *testing.T, n int) []*cascade.Cascade {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := cascade.New(primary, fallback, cascade.Config{WindowMS: 200, Overlap: 0.75})
+		c, err := cascade.NewOf[float64](primary, fallback, cascade.Config{WindowMS: 200, Overlap: 0.75})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ func robustFixture(t *testing.T) (*edge.Detector, []dataset.Trial) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := edge.NewDetector(clf, edge.DetectorConfig{WindowMS: 200, Overlap: 0.75})
+	det, err := edge.NewDetectorOf[float64](clf, edge.DetectorConfig{WindowMS: 200, Overlap: 0.75})
 	if err != nil {
 		t.Fatal(err)
 	}

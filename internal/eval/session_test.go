@@ -25,7 +25,7 @@ func TestEvaluateSessionWithThresholdDetector(t *testing.T) {
 	}
 
 	clf, _ := model.NewThreshold(model.KindThresholdAcc)
-	det, err := edge.NewDetector(clf, edge.DetectorConfig{WindowMS: 200, Overlap: 0.75})
+	det, err := edge.NewDetectorOf[float64](clf, edge.DetectorConfig{WindowMS: 200, Overlap: 0.75})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestEvaluateSessionDebounceReducesFalseAlarms(t *testing.T) {
 	}
 	run := func(debounce int) int {
 		clf, _ := model.NewThreshold(model.KindThresholdAcc)
-		det, err := edge.NewDetector(clf, edge.DetectorConfig{WindowMS: 200, Overlap: 0.75})
+		det, err := edge.NewDetectorOf[float64](clf, edge.DetectorConfig{WindowMS: 200, Overlap: 0.75})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestEvaluateSessionDeterminism(t *testing.T) {
 	}
 	run := func() SessionOutcome {
 		clf, _ := model.NewThreshold(model.KindThresholdGyro)
-		det, _ := edge.NewDetector(clf, edge.DetectorConfig{WindowMS: 200, Overlap: 0.5})
+		det, _ := edge.NewDetectorOf[float64](clf, edge.DetectorConfig{WindowMS: 200, Overlap: 0.5})
 		bag := edge.NewAirbag(edge.AirbagConfig{})
 		return EvaluateSession(det, bag, s)
 	}

@@ -149,7 +149,7 @@ var hotpathCoverage = map[string]string{
 	"internal/nn.maxInto":          streamAlloc,
 
 	// Incremental inference engine: the per-sample push path and the
-	// per-stride scoring path of nn.Streamer.
+	// per-stride scoring path of nn.StreamerOf.
 	"internal/nn.StreamerOf.Push":              streamAlloc,
 	"internal/nn.StreamerOf.Score":             streamAlloc,
 	"internal/nn.StreamerOf.BatchScore":        streamAlloc,
@@ -331,7 +331,7 @@ func TestTransitiveProofMatchesAllocGates(t *testing.T) {
 //
 // Two subsystems the crash-safety story depends on are deliberately
 // absent: internal/artifact serializes through free functions
-// (AppendEnvelope / StateReader), not a method pair, and nn.Streamer
+// (AppendEnvelope / StateReader), not a method pair, and nn.StreamerOf
 // is never serialized at all — edge.Detector rebuilds it row by row
 // after ReadState, which is exactly what its //fallvet:derived streams
 // tag records. Their state is audited through the pairs that own it

@@ -122,6 +122,15 @@ type NetModel struct {
 	cfg  Config
 }
 
+// NewTrainable builds a fresh model of any kind: the threshold kinds
+// through NewThreshold, every network kind through New.
+func NewTrainable(kind Kind, cfg Config, rng *rand.Rand) (Trainable, error) {
+	if kind == KindThresholdAcc || kind == KindThresholdGyro {
+		return NewThreshold(kind)
+	}
+	return New(kind, cfg, rng)
+}
+
 // New builds a fresh model of the given kind. Threshold kinds are
 // constructed by NewThreshold instead.
 func New(kind Kind, cfg Config, rng *rand.Rand) (*NetModel, error) {

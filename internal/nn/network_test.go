@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/artifact"
+	"repro/internal/tensor"
 )
 
 // Network.Save writes the flat little-endian weight layout; Load reads
@@ -135,7 +136,7 @@ func TestNetworkImageLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Kind != "nn-float64-weights-le" || h.DType != artifact.DTypeF64 {
+	if h.Kind != "nn-float64-weights-le" || h.DType != tensor.F64 {
 		t.Fatalf("header %+v", h)
 	}
 	le := binary.LittleEndian

@@ -10,7 +10,7 @@ import (
 // StreamerOf is the incremental sliding-window forward path (DESIGN.md
 // §12), parameterized by the inference scalar S. A batch scorer re-runs
 // the whole network over the full [Window × C] matrix every stride even
-// though consecutive windows share all but Step rows. The Streamer
+// though consecutive windows share all but Step rows. The streamer
 // instead ingests one row at a time and caches each layer's output in a
 // ring:
 //
@@ -86,10 +86,6 @@ type StreamerOf[S tensor.Scalar] struct {
 	head     []headStepOf[S] // precompiled dense head (see buildHead)
 	cat      *tensor.Of[S]   // concat vector fed to the head
 }
-
-// Streamer is the float64 instantiation — the reference width every
-// pre-generic call site uses.
-type Streamer = StreamerOf[float64]
 
 // headOp selects what a compiled head step computes.
 type headOp uint8
@@ -176,7 +172,7 @@ type branchStreamOf[S tensor.Scalar] struct {
 	poolSlot int // poolRing slot of the next emitted pool row (wraps at fullPool)
 }
 
-// StreamConfig describes the stream a Streamer will consume.
+// StreamConfig describes the stream a streamer will consume.
 type StreamConfig struct {
 	// InCh is the row width; Window and Step are the detector's
 	// sliding-window geometry in samples.
@@ -188,12 +184,6 @@ type StreamConfig struct {
 	RebaseCols []int
 }
 
-// NewStreamer builds a float64 incremental scorer for net — the
-// reference instantiation of NewStreamerOf.
-func NewStreamer(net *Network, cfg StreamConfig) (*Streamer, error) {
-	return NewStreamerOf[float64](net, cfg)
-}
-
 // NewStreamerOf builds an incremental scorer at scalar width S for
 // net, which must be a Branch whose every stack is Conv1D→ReLU→MaxPool1D,
 // followed by a dense head of Dense, ReLU (directly after a Dense),
@@ -201,12 +191,12 @@ func NewStreamer(net *Network, cfg StreamConfig) (*Streamer, error) {
 // builds. Other topologies (MLP, recurrent, any other branch stack)
 // return an error; callers fall back to batch scoring.
 //
-// The Streamer snapshots net's parameters at construction, at both
+// The streamer snapshots net's parameters at construction, at both
 // widths: each Conv1D and Dense matrix is copied once, lowered to S
 // (round-to-nearest-even at float32) and, where the AVX kernels apply,
 // packed into their across-output layout in the same pass (DESIGN.md
 // §12.7). Updating net in place afterwards does not reach the
-// Streamer; build a new one.
+// streamer; build a new one.
 func NewStreamerOf[S tensor.Scalar](net *Network, cfg StreamConfig) (*StreamerOf[S], error) {
 	if net == nil || len(net.Layers) == 0 {
 		return nil, fmt.Errorf("nn: streamer needs a non-empty network")

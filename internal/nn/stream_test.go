@@ -83,7 +83,7 @@ func TestStreamerBitIdenticalToPredict(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			net := streamTestNet(t, tc.window, tc.cols, 8, tc.kernel, tc.pool, rng)
-			st, err := NewStreamer(net, StreamConfig{
+			st, err := NewStreamerOf[float64](net, StreamConfig{
 				InCh: tc.inCh, Window: tc.window, Step: tc.step, RebaseCols: tc.rebase,
 			})
 			if err != nil {
@@ -126,7 +126,7 @@ func TestStreamerRestartRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	net := streamTestNet(t, window, [][2]int{{0, 3}, {3, 6}, {6, 9}}, 8, 5, 2, rng)
 	cfg := StreamConfig{InCh: inCh, Window: window, Step: step, RebaseCols: []int{8}}
-	orig, err := NewStreamer(net, cfg)
+	orig, err := NewStreamerOf[float64](net, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestStreamerRestartRebuild(t *testing.T) {
 		rows = append(rows, row)
 		orig.Push(row)
 	}
-	rebuilt, err := NewStreamer(net, cfg)
+	rebuilt, err := NewStreamerOf[float64](net, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestStreamerRestartRebuild(t *testing.T) {
 func TestStreamerRejectsUnsupported(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	mlp := NewNetwork(NewFlatten(), NewDense(80, 8, rng), NewReLU(), NewDense(8, 1, rng), NewSigmoid())
-	if _, err := NewStreamer(mlp, StreamConfig{InCh: 4, Window: 20, Step: 10}); err == nil {
+	if _, err := NewStreamerOf[float64](mlp, StreamConfig{InCh: 4, Window: 20, Step: 10}); err == nil {
 		t.Fatal("MLP accepted")
 	}
 	conv := NewNetwork(
@@ -181,10 +181,10 @@ func TestStreamerRejectsUnsupported(t *testing.T) {
 		NewDense(2, 1, rng),
 		NewSigmoid(),
 	)
-	if _, err := NewStreamer(conv, StreamConfig{InCh: 2, Window: 20, Step: 4}); err == nil {
+	if _, err := NewStreamerOf[float64](conv, StreamConfig{InCh: 2, Window: 20, Step: 4}); err == nil {
 		t.Fatal("maxpool head accepted")
 	}
-	if _, err := NewStreamer(NewNetwork(), StreamConfig{InCh: 2, Window: 20, Step: 4}); err == nil {
+	if _, err := NewStreamerOf[float64](NewNetwork(), StreamConfig{InCh: 2, Window: 20, Step: 4}); err == nil {
 		t.Fatal("empty network accepted")
 	}
 	noReLU := NewNetwork(
@@ -193,7 +193,7 @@ func TestStreamerRejectsUnsupported(t *testing.T) {
 		NewSigmoid(),
 	)
 	cfg := StreamConfig{InCh: 2, Window: 20, Step: 4}
-	if _, err := NewStreamer(noReLU, cfg); err == nil {
+	if _, err := NewStreamerOf[float64](noReLU, cfg); err == nil {
 		t.Fatal("Conv→MaxPool branch without ReLU accepted at float64")
 	}
 	if _, err := NewStreamerOf[float32](noReLU, cfg); err == nil {
@@ -206,22 +206,22 @@ func TestStreamerRejectsUnsupported(t *testing.T) {
 		NewDense(36, 1, rng),
 		NewSigmoid(),
 	)
-	if _, err := NewStreamer(loneReLU, cfg); err == nil {
+	if _, err := NewStreamerOf[float64](loneReLU, cfg); err == nil {
 		t.Fatal("head ReLU after Flatten accepted")
 	}
 	net := streamTestNet(t, 20, [][2]int{{0, 2}}, 4, 3, 2, rng)
-	if _, err := NewStreamer(net, StreamConfig{InCh: 2, Window: 20, Step: 10, RebaseCols: []int{5}}); err == nil {
+	if _, err := NewStreamerOf[float64](net, StreamConfig{InCh: 2, Window: 20, Step: 10, RebaseCols: []int{5}}); err == nil {
 		t.Fatal("out-of-range rebase column accepted")
 	}
 	// Step not a multiple of Pool: valid, but the branch cannot stream.
-	st, err := NewStreamer(net, StreamConfig{InCh: 2, Window: 20, Step: 5})
+	st, err := NewStreamerOf[float64](net, StreamConfig{InCh: 2, Window: 20, Step: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Streaming() {
 		t.Fatal("misaligned stride reported as streaming")
 	}
-	if st2, err := NewStreamer(net, StreamConfig{InCh: 2, Window: 20, Step: 4}); err != nil || !st2.Streaming() {
+	if st2, err := NewStreamerOf[float64](net, StreamConfig{InCh: 2, Window: 20, Step: 4}); err != nil || !st2.Streaming() {
 		t.Fatalf("aligned stride should stream (err=%v)", err)
 	}
 }
@@ -232,7 +232,7 @@ func TestStreamerAllocationFree(t *testing.T) {
 	const window, step, inCh = 40, 20, 9
 	rng := rand.New(rand.NewSource(5))
 	net := streamTestNet(t, window, [][2]int{{0, 3}, {3, 6}, {6, 9}}, 8, 5, 2, rng)
-	st, err := NewStreamer(net, StreamConfig{InCh: inCh, Window: window, Step: step, RebaseCols: []int{8}})
+	st, err := NewStreamerOf[float64](net, StreamConfig{InCh: inCh, Window: window, Step: step, RebaseCols: []int{8}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // complete pool block at all), at strides that stream every branch and
 // strides that recompute them, the detector's re-based yaw column
 // included. Score must equal Network.Predict bit for bit at f64 and
-// BatchScore at f32. edge.NewDetector reaches window 5, step 2 with
+// BatchScore at f32. edge.NewDetectorOf reaches window 5, step 2 with
 // WindowMS 50 and Overlap 0.6.
 func TestScoreShortWindows(t *testing.T) {
 	for _, kind := range []model.Kind{model.KindCNN, model.KindCNNAccel} {

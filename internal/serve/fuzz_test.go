@@ -360,7 +360,7 @@ func newFuzzCascade(t *testing.T) *cascade.Cascade {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := cascade.New(primary, fallback, cascade.Config{WindowMS: 200, Overlap: 0.5})
+	c, err := cascade.NewOf[float64](primary, fallback, cascade.Config{WindowMS: 200, Overlap: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -28,7 +29,7 @@ func newServeCascade(t testing.TB) *cascade.Cascade {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := cascade.New(primary, fallback, cascade.Config{WindowMS: 400, Overlap: 0.5})
+	c, err := cascade.NewOf[float64](primary, fallback, cascade.Config{WindowMS: 400, Overlap: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,16 +235,16 @@ func TestRestoreKeepsBreakerCeiling(t *testing.T) {
 			t.Fatalf("decision %d diverged after restore:\n ref %+v\n got %+v", i, refDs[i], gotDs[i])
 		}
 	}
-	a, err := refC.SnapshotBytes()
+	a, err := refC.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := gotC.SnapshotBytes()
+	b, err := gotC.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eq, err := cascade.SnapshotEqual(a, b); err != nil || !eq {
-		t.Fatalf("restored cascade state differs from the reference (err %v)", err)
+	if !bytes.Equal(a, b) {
+		t.Fatal("restored cascade state differs from the reference")
 	}
 }
 
@@ -300,7 +301,7 @@ func newServeCNNCascade(t testing.TB) *cascade.Cascade {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := cascade.New(primary, fallback, cascade.Config{WindowMS: 400, Overlap: 0.5})
+	c, err := cascade.NewOf[float64](primary, fallback, cascade.Config{WindowMS: 400, Overlap: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +310,7 @@ func newServeCNNCascade(t testing.TB) *cascade.Cascade {
 
 // TestServeKillMidMotionCNNStreams is the serve-level crash-replay
 // guarantee for the incremental inference engine: a session whose
-// pipeline answers from nn.Streamer caches is killed mid-motion
+// pipeline answers from nn.StreamerOf caches is killed mid-motion
 // (between a snapshot and the next stride), restored from the last
 // snapshot and replayed — the served decision stream must be
 // bit-identical to a bare cascade that never crashed. The streaming

@@ -10,8 +10,10 @@ import (
 
 	"repro/internal/cascade"
 	"repro/internal/imu"
+	"repro/internal/model"
 	"repro/internal/report"
 	"repro/internal/synth"
+	"repro/internal/tensor"
 )
 
 // Chaos soak — the serving runtime's acceptance harness. It drives N
@@ -62,9 +64,10 @@ type SoakConfig struct {
 	Crashloops int
 	// Seed drives the per-session stream phases and jitter schedules.
 	Seed int64
-	// NewPipeline builds one detector pipeline per session (plus one
-	// reference per compared session).
-	NewPipeline func() (Pipeline, error)
+	// Precision is the compiled width of every session's pipeline
+	// (and of each compared session's reference); the zero value is
+	// tensor.F64.
+	Precision tensor.Precision
 	// Background, when non-nil, supplies each session's wear stream
 	// (the CLIs feed internal/synth sessions here); it must be
 	// deterministic for a given id. The harness splices the canonical
@@ -107,6 +110,26 @@ type SoakReport struct {
 }
 
 // soak wiring internals -----------------------------------------------
+
+// soakPipeline builds one session's pipeline at width p: a cascade
+// over 400 ms windows at 50 % overlap whose primary and fallback are
+// both the stateless acceleration-threshold detector. The soak
+// exercises the runtime, not the model, so no network is trained.
+func soakPipeline(p tensor.Precision) (Pipeline, error) {
+	primary, err := model.NewThreshold(model.KindThresholdAcc)
+	if err != nil {
+		return nil, err
+	}
+	fallback, err := model.NewThreshold(model.KindThresholdAcc)
+	if err != nil {
+		return nil, err
+	}
+	cfg := cascade.Config{WindowMS: 400, Overlap: 0.5}
+	if p == tensor.F32 {
+		return cascade.NewOf[float32](primary, fallback, cfg)
+	}
+	return cascade.NewOf[float64](primary, fallback, cfg)
+}
 
 // slowPipe models a stalled consumer: every data sample costs 200
 // virtual ms on the session's private clock.
@@ -226,8 +249,8 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	if cfg.Sessions <= 0 || cfg.Samples <= 0 {
 		return nil, fmt.Errorf("soak: Sessions and Samples must be positive")
 	}
-	if cfg.NewPipeline == nil {
-		return nil, fmt.Errorf("soak: NewPipeline is required")
+	if !cfg.Precision.Valid() {
+		return nil, fmt.Errorf("soak: unknown %s", cfg.Precision)
 	}
 	const (
 		roundLen = 30
@@ -308,7 +331,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	pos := make([]int, n)
 	acc := make([][]cascade.Decision, n)
 	for id := 0; id < n; id++ {
-		inner, err := cfg.NewPipeline()
+		inner, err := soakPipeline(cfg.Precision)
 		if err != nil {
 			rt.Close()
 			return nil, err
@@ -463,7 +486,7 @@ func burstRound(s *Session, g *gatePipe, gen func(int) (imu.Vec3, imu.Vec3), pos
 // evaluated decision sequences — the soak's bit-identity oracle for
 // panic recovery.
 func decisionsMatchReference(cfg SoakConfig, gen func(int) (imu.Vec3, imu.Vec3), total int, got []cascade.Decision) (bool, error) {
-	ref, err := cfg.NewPipeline()
+	ref, err := soakPipeline(cfg.Precision)
 	if err != nil {
 		return false, err
 	}

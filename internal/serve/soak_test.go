@@ -1,35 +1,17 @@
 package serve
 
-import (
-	"testing"
-
-	"repro/internal/cascade"
-	"repro/internal/model"
-)
-
-func soakPipeline() (Pipeline, error) {
-	primary, err := model.NewThreshold(model.KindThresholdAcc)
-	if err != nil {
-		return nil, err
-	}
-	fallback, err := model.NewThreshold(model.KindThresholdAcc)
-	if err != nil {
-		return nil, err
-	}
-	return cascade.New(primary, fallback, cascade.Config{WindowMS: 400, Overlap: 0.5})
-}
+import "testing"
 
 // TestSoakSmoke is the CI-sized chaos soak: 16 streams covering every
 // fault profile, 2 injected panics, one crash-looping session, under
 // -race. It is the same harness verify.sh runs via fallserve.
 func TestSoakSmoke(t *testing.T) {
 	rep, err := RunSoak(SoakConfig{
-		Sessions:    16,
-		Samples:     600,
-		Panics:      2,
-		Seed:        42,
-		NewPipeline: soakPipeline,
-		Log:         t.Logf,
+		Sessions: 16,
+		Samples:  600,
+		Panics:   2,
+		Seed:     42,
+		Log:      t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -50,11 +32,10 @@ func TestSoakSmoke(t *testing.T) {
 func TestSoakDeterministic(t *testing.T) {
 	run := func() *SoakReport {
 		rep, err := RunSoak(SoakConfig{
-			Sessions:    8,
-			Samples:     600,
-			Panics:      1,
-			Seed:        7,
-			NewPipeline: soakPipeline,
+			Sessions: 8,
+			Samples:  600,
+			Panics:   1,
+			Seed:     7,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -429,6 +429,55 @@ func Is64[S Scalar]() bool {
 	return unsafe.Sizeof(z) == 8
 }
 
+// Precision names a compiled scalar width at run time: the choice a
+// flag or a config makes, the dtype byte of an artifact envelope and
+// the dtype word of a pipeline state image. The values are the ones
+// those formats store, so they never change; a new width is one more
+// value here.
+type Precision uint8
+
+const (
+	// F64 is the float64 training and reference width — the zero
+	// value, and what every image written before the dtype field held.
+	F64 Precision = 0
+	// F32 is the lowered float32 inference width.
+	F32 Precision = 1
+)
+
+// PrecisionOf returns the Precision of scalar type S.
+func PrecisionOf[S Scalar]() Precision {
+	if Is64[S]() {
+		return F64
+	}
+	return F32
+}
+
+// Valid reports whether p is a width this build compiles.
+func (p Precision) Valid() bool { return p == F64 || p == F32 }
+
+// String names the width the way flags and results headers spell it.
+func (p Precision) String() string {
+	switch p {
+	case F64:
+		return "f64"
+	case F32:
+		return "f32"
+	}
+	return fmt.Sprintf("precision(%d)", uint8(p))
+}
+
+// ParsePrecision reads the spellings String produces ("f64", "f32";
+// "float64"/"float32" are accepted as aliases).
+func ParsePrecision(s string) (Precision, error) {
+	switch s {
+	case "f64", "float64":
+		return F64, nil
+	case "f32", "float32":
+		return F32, nil
+	}
+	return 0, fmt.Errorf("unknown precision %q (want f64 or f32)", s)
+}
+
 // Widen copies src (any scalar width) into a float64 tensor, reusing
 // dst's buffer when its element count already matches. float32→float64
 // conversion is exact, so Widen(Lower(t)) at float32 loses exactly the

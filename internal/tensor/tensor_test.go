@@ -277,3 +277,31 @@ func TestStringSmallAndLarge(t *testing.T) {
 		t.Fatal("empty String for large tensor")
 	}
 }
+
+// TestPrecisionStringParse: every width round-trips through its
+// String spelling, both long aliases parse, PrecisionOf names each
+// instantiation, and anything else is rejected.
+func TestPrecisionStringParse(t *testing.T) {
+	for _, p := range []Precision{F64, F32} {
+		got, err := ParsePrecision(p.String())
+		if err != nil || got != p || !got.Valid() {
+			t.Fatalf("ParsePrecision(%q) = %v, %v", p.String(), got, err)
+		}
+	}
+	for s, want := range map[string]Precision{"float64": F64, "float32": F32} {
+		if got, err := ParsePrecision(s); err != nil || got != want {
+			t.Fatalf("alias %s: %v, %v", s, got, err)
+		}
+	}
+	if PrecisionOf[float64]() != F64 || PrecisionOf[float32]() != F32 {
+		t.Fatalf("PrecisionOf: %v, %v", PrecisionOf[float64](), PrecisionOf[float32]())
+	}
+	for _, s := range []string{"f16", "", "F64"} {
+		if _, err := ParsePrecision(s); err == nil {
+			t.Fatalf("%q accepted", s)
+		}
+	}
+	if Precision(7).Valid() {
+		t.Fatal("Precision(7) valid")
+	}
+}
