@@ -100,6 +100,9 @@ func (cd *CascadeDetector) Stream() (*StreamCascade, error) {
 // what the cascade buys under each fault — the per-point TierEvals and
 // TierTriggers show which tier did the work.
 func (cd *CascadeDetector) EvaluateRobustness(d *Dataset, cfg RobustnessConfig) (*RobustnessReport, error) {
+	if !cfg.Precision.Valid() {
+		return nil, fmt.Errorf("falldet: robustness sweep at unknown %s", cfg.Precision)
+	}
 	// Worker 0 reuses the members' own networks, the others score on
 	// clones; see perWorker.
 	if cfg.Precision == PrecisionF32 {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/artifact"
@@ -219,5 +220,35 @@ func TestCascadePrecisionDecisionAgreement(t *testing.T) {
 	pointsAgree(t, "cascade-clean", rep64.Clean, rep32.Clean)
 	for i := range rep64.Points {
 		pointsAgree(t, "cascade", rep64.Points[i], rep32.Points[i])
+	}
+}
+
+// TestEvaluateRobustnessRejectsUnknownPrecision: a Precision that names
+// no compiled width fails both sweeps up front, as serve.RunSoak
+// fails a soak, instead of running the float64 sweep under a wrong
+// label. The empty dataset keeps a regression cheap: it would return
+// a report, not an error.
+func TestEvaluateRobustnessRejectsUnknownPrecision(t *testing.T) {
+	cfg := tinyConfig()
+	det := rawDetector(t, KindCNN, cfg)
+	cd := rawCascade(t, cfg)
+	sweeps := []struct {
+		name string
+		run  func(*Dataset, RobustnessConfig) (*RobustnessReport, error)
+	}{
+		{"detector", det.EvaluateRobustness},
+		{"cascade", cd.EvaluateRobustness},
+	}
+	for _, sw := range sweeps {
+		for _, p := range []Precision{2, 7, 255} {
+			rep, err := sw.run(&Dataset{}, RobustnessConfig{Seed: 1, Precision: p})
+			if err == nil || rep != nil {
+				t.Errorf("%s at %s: err %v, report returned %v; want an error and no report", sw.name, p, err, rep != nil)
+				continue
+			}
+			if !strings.Contains(err.Error(), p.String()) {
+				t.Errorf("%s at %s: error %q does not name the width", sw.name, p, err)
+			}
+		}
 	}
 }

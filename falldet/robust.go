@@ -1,6 +1,8 @@
 package falldet
 
 import (
+	"fmt"
+
 	"repro/internal/eval"
 	"repro/internal/fault"
 )
@@ -71,6 +73,9 @@ type RobustnessConfig struct {
 // passing sweep also certifies zero NaN probabilities under NaN-burst
 // and dropout faults.
 func (det *Detector) EvaluateRobustness(d *Dataset, cfg RobustnessConfig) (*RobustnessReport, error) {
+	if !cfg.Precision.Valid() {
+		return nil, fmt.Errorf("falldet: robustness sweep at unknown %s", cfg.Precision)
+	}
 	// Worker 0 reuses the detector's own network, the others score on
 	// clones; see perWorker.
 	if cfg.Precision == PrecisionF32 {

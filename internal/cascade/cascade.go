@@ -285,9 +285,9 @@ type Decision struct {
 //
 //fallvet:hotpath
 func (c *CascadeOf[S]) Push(acc, gyro imu.Vec3) Decision {
-	p2 := c.t2.push(acc)
+	c.t2.push(acc)
 	r := c.det.Ingest(acc, gyro)
-	return c.decide(r, p2)
+	return c.decide(r)
 }
 
 // PushMissing accounts for n samples the sensor failed to deliver.
@@ -303,19 +303,20 @@ func (c *CascadeOf[S]) PushMissing(n int) Decision {
 		d.SupervisorTier = c.ceiling
 	}
 	for i := 0; i < n; i++ {
-		p2 := c.t2.missing()
+		c.t2.missing()
 		r := c.det.IngestMissing(1)
-		d = c.decide(r, p2)
+		d = c.decide(r)
 	}
 	return d
 }
 
 // decide runs the supervisor and, at decision cadence, scores the best
-// available tier. p2 is the threshold floor's current probability —
-// computed every sample, so it is always live, window or no window.
+// available tier. The threshold floor's state is updated every sample,
+// so its probability is live, window or no window; its logistic runs
+// only when the floor decides.
 //
 //fallvet:hotpath
-func (c *CascadeOf[S]) decide(r edge.Result, p2 float64) Decision {
+func (c *CascadeOf[S]) decide(r edge.Result) Decision {
 	c.samples++
 	c.sinceEval++
 	g := c.det.GroupHealth()
@@ -359,7 +360,7 @@ func (c *CascadeOf[S]) decide(r edge.Result, p2 float64) Decision {
 	case TierFallback:
 		p, ok = c.det.ScoreWindow(c.fallback)
 	case TierThreshold:
-		p = p2
+		p = c.t2.score()
 	}
 	d.Evaluated = true
 	d.Tier = evalTier
@@ -439,13 +440,15 @@ func finiteAcc(v imu.Vec3) bool {
 		!math.IsNaN(v.Z) && !math.IsInf(v.Z, 0)
 }
 
-// push ingests one raw accelerometer sample (g) and returns the
-// current probability.
+// push ingests one raw accelerometer sample (g). The probability is
+// score's pure function of the state push leaves, so it is computed
+// only for the samples the floor decides on.
 //
 //fallvet:hotpath
-func (t *tier2) push(acc imu.Vec3) float64 {
+func (t *tier2) push(acc imu.Vec3) {
 	if !finiteAcc(acc) {
-		return t.missing()
+		t.missing()
+		return
 	}
 	mag := math.Sqrt(acc.X*acc.X + acc.Y*acc.Y + acc.Z*acc.Z)
 	if mag < t.lowG {
@@ -460,7 +463,6 @@ func (t *tier2) push(acc imu.Vec3) float64 {
 	if t.vel < 0 || math.IsNaN(t.vel) {
 		t.vel = 0
 	}
-	return t.score()
 }
 
 // missing handles a sample the sensor failed to deliver: no free-fall
@@ -470,11 +472,13 @@ func (t *tier2) push(acc imu.Vec3) float64 {
 // absence of data.
 //
 //fallvet:hotpath
-func (t *tier2) missing() float64 {
+func (t *tier2) missing() {
 	t.run = 0
-	return t.score()
 }
 
+// score is the floor's probability at its current state: a logistic
+// of the smaller of the free-fall run and vertical-velocity margins.
+//
 //fallvet:hotpath
 func (t *tier2) score() float64 {
 	freefall := float64(t.run-t.minRun) + 0.5

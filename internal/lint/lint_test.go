@@ -134,6 +134,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"suppress", true, false},
 		{"hottrans/bad", false, false},
 		{"hottrans/good", false, false},
+		{"hottrans/asm", false, false},
 		{"snapshot/bad", false, false},
 		{"snapshot/good", false, false},
 		{"exhaustive/bad", false, false},

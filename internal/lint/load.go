@@ -37,8 +37,11 @@ type Package struct {
 	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
-	Types *types.Package
-	Info  *types.Info
+	// AsmFiles are the paths of the package's .s files in the build,
+	// where its body-less functions are implemented.
+	AsmFiles []string
+	Types    *types.Package
+	Info     *types.Info
 }
 
 // loader parses and type-checks packages with a shared FileSet and a
@@ -57,9 +60,9 @@ func newLoader() *loader {
 }
 
 // load parses the non-test .go files of dir and type-checks them as
-// importPath. Files excluded by build constraints (//go:build lines,
-// GOOS/GOARCH filename suffixes) are skipped the way the go tool
-// skips them. Returns nil (no error) for directories with no Go files
+// importPath, and records the paths of its .s files. Files excluded
+// by build constraints (//go:build lines, GOOS/GOARCH filename
+// suffixes) are skipped the way the go tool skips them. Returns nil (no error) for directories with no Go files
 // in the build — including test-only packages, whose _test.go files
 // the linter never analyzes. Failures come back as *LoadError, never
 // a panic: a package that does not parse or type-check is a result,
@@ -73,10 +76,11 @@ func (l *loader) load(dir, importPath string) (*Package, error) {
 		return fail(err)
 	}
 	ctxt := build.Default
-	var names []string
+	var names, asm []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
+		isAsm := strings.HasSuffix(name, ".s")
+		if e.IsDir() || !(isAsm || strings.HasSuffix(name, ".go")) ||
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
 			continue
 		}
@@ -89,6 +93,10 @@ func (l *loader) load(dir, importPath string) (*Package, error) {
 			return fail(fmt.Errorf("reading build constraints of %s: %w", name, err))
 		}
 		if !match {
+			continue
+		}
+		if isAsm {
+			asm = append(asm, filepath.Join(dir, name))
 			continue
 		}
 		names = append(names, name)
@@ -116,13 +124,15 @@ func (l *loader) load(dir, importPath string) (*Package, error) {
 	if err != nil {
 		return fail(fmt.Errorf("type-checking: %w", err))
 	}
+	sort.Strings(asm)
 	return &Package{
-		Path:  importPath,
-		Dir:   dir,
-		Fset:  l.fset,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
+		Path:     importPath,
+		Dir:      dir,
+		Fset:     l.fset,
+		Files:    files,
+		AsmFiles: asm,
+		Types:    tpkg,
+		Info:     info,
 	}, nil
 }
 

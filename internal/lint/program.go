@@ -24,11 +24,14 @@ import (
 //     class hierarchy: every analyzed method with the same name and
 //     arity is a possible callee (sound over-approximation — external
 //     implementations and name coincidences are the documented limits);
+//   - a body-less function is indexed as a leaf with no edges when
+//     its assembly TEXT symbol is a provable leaf (asmleaf.go);
 //   - calls through function values, calls into packages outside the
-//     analyzed set (except the no-alloc stdlib allowlist), and
-//     interface calls with no analyzed implementation stay unresolved
-//     and surface as conservative diagnostics when a hot path can
-//     reach them.
+//     analyzed set (except the no-alloc stdlib allowlist), calls to
+//     body-less functions that are not provable leaves, and interface
+//     calls with no analyzed implementation stay unresolved and
+//     surface as conservative diagnostics when a hot path can reach
+//     them.
 //
 // On top of the graph, a may-allocate effect is computed bottom-up to
 // a fixed point: a function is dirty when its own body contains an
@@ -101,6 +104,9 @@ type program struct {
 	byName  map[string][]*funcInfo
 	byDecl  map[*ast.FuncDecl]*funcInfo
 	ordered []*funcInfo // deterministic build order
+	// noBody holds the body-less functions that are not provable
+	// assembly leaves (asmleaf.go), by types.Func.FullName().
+	noBody map[string]bool
 }
 
 // buildProgram indexes the passes' functions, scans every body for
@@ -112,6 +118,7 @@ func buildProgram(passes []*pass) *program {
 		funcs:  map[string]*funcInfo{},
 		byName: map[string][]*funcInfo{},
 		byDecl: map[*ast.FuncDecl]*funcInfo{},
+		noBody: map[string]bool{},
 	}
 	for _, p := range passes {
 		prog.paths[p.pkg.Path] = true
@@ -121,15 +128,27 @@ func buildProgram(passes []*pass) *program {
 		for _, fd := range p.dirs.hotpath {
 			hot[fd] = true
 		}
+		var leaves map[string]bool // read on the first body-less function
 		for _, f := range p.pkg.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
+				if !ok {
 					continue
 				}
 				fn, ok := p.pkg.Info.Defs[fd.Name].(*types.Func)
 				if !ok {
 					continue
+				}
+				if fd.Body == nil {
+					// Implemented in assembly: indexed, with no call
+					// edges and no allocation, only as a proven leaf.
+					if leaves == nil {
+						leaves = asmLeaves(p.pkg.AsmFiles)
+					}
+					if fd.Recv != nil || !leaves[fd.Name.Name] {
+						prog.noBody[fn.FullName()] = true
+						continue
+					}
 				}
 				fi := &funcInfo{fn: fn, decl: fd, pkg: p.pkg, hot: hot[fd]}
 				if _, cold := p.dirs.cold[fd]; cold {
@@ -239,6 +258,9 @@ func chain(t *funcInfo) string {
 // constructs nor call edges — the justification cuts the edge, so the
 // exemption does not re-surface at every transitive caller.
 func scanEffects(p *pass, prog *program, fi *funcInfo) {
+	if fi.decl.Body == nil {
+		return // an assembly leaf: no calls, no allocation
+	}
 	info := p.pkg.Info
 	exempt := func(pos token.Pos) bool {
 		ps := p.pkg.Fset.Position(pos)
@@ -372,6 +394,10 @@ func scanCall(p *pass, prog *program, fi *funcInfo, call *ast.CallExpr, setAlloc
 			}
 		} else if target, ok := prog.funcs[fn.FullName()]; ok {
 			addSite(callSite{pos: call.Pos(), targets: []*funcInfo{target}})
+		} else if prog.noBody[fn.FullName()] {
+			addSite(callSite{pos: call.Pos(), unresolved: fmt.Sprintf(
+				"call to %s.%s has no Go body and its assembly is not a provable leaf (NOSPLIT, no CALL, no jump out of its body)",
+				fn.Pkg().Name(), fn.Name())})
 		} else if !extNoAlloc[fn.Pkg().Path()] {
 			addSite(callSite{pos: call.Pos(), unresolved: fmt.Sprintf(
 				"call to %s.%s is outside the analyzed packages and cannot be proven alloc-free",

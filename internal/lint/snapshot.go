@@ -228,7 +228,7 @@ func writerFieldUses(p *pass, writers []*funcInfo) map[*types.Var]bool {
 	for len(queue) > 0 {
 		fi := queue[0]
 		queue = queue[1:]
-		if seen[fi] || fi.pkg.Path != p.pkg.Path {
+		if seen[fi] || fi.pkg.Path != p.pkg.Path || fi.decl.Body == nil {
 			continue
 		}
 		seen[fi] = true

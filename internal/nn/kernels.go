@@ -45,7 +45,6 @@ import (
 //fallvet:hotpath
 func matVecBias[S tensor.Scalar](dst, x, w, b []S, rows, cols int) {
 	if !tensor.Is64[S]() {
-		//fallvet:ignore hottrans simd.MatVecBiasF32 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
 		simd.MatVecBiasF32(f32s(dst), f32s(x), f32s(w), f32s(b), rows, cols)
 		return
 	}
@@ -109,9 +108,7 @@ func matVecBias2[S tensor.Scalar](da, db, xa, xb, w, b []S, rows, cols int) {
 	if !tensor.Is64[S]() {
 		// Two single calls are the f32 pair, bit for bit: the pair
 		// order is the narrow single order per window.
-		//fallvet:ignore hottrans simd.MatVecBiasF32 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
 		simd.MatVecBiasF32(f32s(da), f32s(xa), f32s(w), f32s(b), rows, cols)
-		//fallvet:ignore hottrans simd.MatVecBiasF32 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
 		simd.MatVecBiasF32(f32s(db), f32s(xb), f32s(w), f32s(b), rows, cols)
 		return
 	}

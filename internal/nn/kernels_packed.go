@@ -179,7 +179,6 @@ func (m *matOf[S]) apply(dst, x []S, relu bool) {
 		if tensor.Is64[S]() {
 			packedF64(f64s(dst), f64s(x), f64s(w), f64s(b), p, cols, relu)
 		} else {
-			//fallvet:ignore hottrans simd.PackedNarrowF32 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
 			simd.PackedNarrowF32(f32s(dst), f32s(x), f32s(w), f32s(b), p, cols, relu)
 		}
 		if p == rows {
@@ -203,10 +202,8 @@ func (m *matOf[S]) apply2ReLU(da, db, xa, xb []S) {
 	w, b, rows, cols := m.w, m.b, m.rows, m.cols
 	if p := m.packed; p > 0 {
 		if tensor.Is64[S]() {
-			//fallvet:ignore hottrans simd.PackedNarrow2F64 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
 			simd.PackedNarrow2F64(f64s(da), f64s(db), f64s(xa), f64s(xb), f64s(w), f64s(b), p, cols)
 		} else {
-			//fallvet:ignore hottrans simd.PackedNarrow2F32 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
 			simd.PackedNarrow2F32(f32s(da), f32s(db), f32s(xa), f32s(xb), f32s(w), f32s(b), p, cols)
 		}
 		if p == rows {
@@ -226,19 +223,16 @@ func (m *matOf[S]) apply2ReLU(da, db, xa, xb []S) {
 //fallvet:hotpath
 func packedF64(dst, x, w, b []float64, rows, cols int, relu bool) {
 	if cols < 32 {
-		//fallvet:ignore hottrans simd.PackedNarrowF64 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
 		simd.PackedNarrowF64(dst, x, w, b, rows, cols, relu)
 		return
 	}
 	if cols <= maxSparseCols {
 		var nz [maxSparseCols]int32
 		if n := nonzeros(nz[:], x[:cols]); n <= cols-cols/8 {
-			//fallvet:ignore hottrans simd.PackedSparseF64 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
 			simd.PackedSparseF64(dst, x, w, b, nz[:n], rows, cols, relu)
 			return
 		}
 	}
-	//fallvet:ignore hottrans simd.PackedWideF64 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
 	simd.PackedWideF64(dst, x, w, b, rows, cols, relu)
 }
 
@@ -272,10 +266,8 @@ func maxInto[S tensor.Scalar](dst, src []S) {
 	case !useAVX:
 		simd.MaxRef(dst, src)
 	case tensor.Is64[S]():
-		//fallvet:ignore hottrans simd.MaxF64 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
 		simd.MaxF64(f64s(dst), f64s(src))
 	default:
-		//fallvet:ignore hottrans simd.MaxF32 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
 		simd.MaxF32(f32s(dst), f32s(src))
 	}
 }

@@ -1,9 +1,10 @@
-// SSE f32 kernels. The summation order is specified by the Ref
-// functions in ref.go; every instruction sequence here is the
-// literal SIMD transcription of that order, so asm and reference are
-// bit-identical. MULPS/ADDPS only — no FMA (the reference cannot fuse
-// either), no MAXPS for ReLU (the clamp stays in Go to keep the NaN
-// rule). Leaf functions, no stack frame, nothing escapes.
+// SSE f32 kernel, with AVX and AVX-512 wide loops. The summation
+// order is specified by the Ref functions in ref.go; every
+// instruction sequence here is the literal SIMD transcription of that
+// order, so asm and reference are bit-identical. MULPS/ADDPS only —
+// no FMA (the reference cannot fuse either), no MAXPS for ReLU (the
+// clamp stays in Go to keep the NaN rule). Leaf functions, no stack
+// frame, nothing escapes.
 
 #include "textflag.h"
 
@@ -14,6 +15,12 @@
 // the leftover full 4-column blocks accumulate into the combined quad
 // (narrow rows start there with a zero quad); lanes fold as
 // (l0+l2)+(l1+l3); add bias; scalar remainder ascending.
+//
+// Three wide loops give that order bit for bit: SSE (four quads),
+// AVX (two YMM pairs) and, with AVX-512, a ZMM loop that drains four
+// rows per pass. The ZMM loop leaves each row's combined quad in
+// X12..X15 and CX counts the rows still pending; each then takes the
+// shared quad/fold/remainder tail as its own row, in row order.
 TEXT ·MatVecBiasF32(SB), NOSPLIT, $0-112
 	MOVQ dst_base+0(FP), DI
 	MOVQ x_base+24(FP), SI
@@ -26,16 +33,25 @@ TEXT ·MatVecBiasF32(SB), NOSPLIT, $0-112
 	ANDQ $-16, R12 // R12 = cols &^ 15: superblock limit
 	MOVQ R9, R13
 	ANDQ $-4, R13  // R13 = cols &^ 3: quad limit
+	XORQ CX, CX    // rows drained by the ZMM loop, tails pending
 
 	TESTQ R8, R8
 	JLE  mvb_done
 
 mvb_row:
+	TESTQ CX, CX
+	JNZ   mvb_pending
 	XORPS X0, X0
 	XORQ  R11, R11 // i = 0
 	CMPQ  R9, $32
 	JLT  mvb_quad  // narrow: single quad accumulator only
 
+	CMPB ·useAVX512(SB), $0
+	JEQ  mvb_wide_ymm
+	CMPQ R8, $4
+	JGE  mvb_wide_zmm
+
+mvb_wide_ymm:
 	CMPB ·useAVX(SB), $0
 	JNE  mvb_wide_avx
 
@@ -93,6 +109,66 @@ mvb_combine_avx:
 	VEXTRACTF128 $1, Y0, X1
 	VADDPS       X1, X0, X0   // (V0+V2)+(V1+V3)
 	VZEROUPPER
+	JMP          mvb_quad
+
+	// Four-row superblock drain: Z0..Z3 = [V0|V1|V2|V3] of rows
+	// o..o+3, x loaded once per superblock for all four. Each lane
+	// sees the AVX loop's VMULPS (weight first) and VADDPS per
+	// superblock; the combine is its 256-bit fold after one more
+	// 512-bit extract.
+mvb_wide_zmm:
+	LEAQ   (DX)(R9*4), AX  // row o+1
+	LEAQ   (AX)(R9*4), R10 // row o+2
+	LEAQ   (R10)(R9*4), R14 // row o+3
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+mvb_wide64:
+	VMOVUPS (SI)(R11*4), Z4
+	VMOVUPS (DX)(R11*4), Z5
+	VMULPS  Z4, Z5, Z5
+	VADDPS  Z5, Z0, Z0
+	VMOVUPS (AX)(R11*4), Z6
+	VMULPS  Z4, Z6, Z6
+	VADDPS  Z6, Z1, Z1
+	VMOVUPS (R10)(R11*4), Z7
+	VMULPS  Z4, Z7, Z7
+	VADDPS  Z7, Z2, Z2
+	VMOVUPS (R14)(R11*4), Z8
+	VMULPS  Z4, Z8, Z8
+	VADDPS  Z8, Z3, Z3
+	ADDQ    $16, R11
+	CMPQ    R11, R12
+	JLT     mvb_wide64 // cols ≥ 32: at least two superblocks
+
+	VEXTRACTF64X4 $1, Z0, Y4
+	VADDPS        Y4, Y0, Y0  // [V0+V2 | V1+V3]
+	VEXTRACTF128  $1, Y0, X4
+	VADDPS        X4, X0, X12 // (V0+V2)+(V1+V3), row o
+	VEXTRACTF64X4 $1, Z1, Y5
+	VADDPS        Y5, Y1, Y1
+	VEXTRACTF128  $1, Y1, X5
+	VADDPS        X5, X1, X13 // row o+1
+	VEXTRACTF64X4 $1, Z2, Y6
+	VADDPS        Y6, Y2, Y2
+	VEXTRACTF128  $1, Y2, X6
+	VADDPS        X6, X2, X14 // row o+2
+	VEXTRACTF64X4 $1, Z3, Y7
+	VADDPS        Y7, Y3, Y3
+	VEXTRACTF128  $1, Y3, X7
+	VADDPS        X7, X3, X15 // row o+3
+	VZEROUPPER
+	MOVQ          $4, CX
+
+	// Next drained row: its quad into X0, the rest shift down.
+mvb_pending:
+	MOVAPS X12, X0
+	MOVAPS X13, X12
+	MOVAPS X14, X13
+	MOVAPS X15, X14
+	DECQ   CX
+	MOVQ   R12, R11
 
 mvb_quad:
 	CMPQ   R11, R13
@@ -153,5 +229,42 @@ TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
 	RET
 
 avx_no:
+	MOVB  $0, ret+0(FP)
+	RET
+
+// func cpuHasAVX512() bool
+//
+// AVX-512F as the ZMM loops use it: CPUID leaf 1 shows AVX and
+// OSXSAVE, XGETBV shows the OS preserving XMM, YMM, the opmask
+// registers and both ZMM halves (XCR0 bits 1, 2, 5, 6, 7), and CPUID
+// leaf 7 (when the CPU has it) sets EBX bit 16. Every instruction of
+// the ZMM loops — VMULPx, VADDPx, VMOVUPx, VBROADCASTSD, VPXORD/Q,
+// VEXTRACTF64X4 and VCMPPD into an opmask — is AVX-512F.
+TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
+	XORL  AX, AX
+	XORL  CX, CX
+	CPUID
+	CMPL  AX, $7
+	JLT   avx512_no
+	MOVL  $1, AX
+	XORL  CX, CX
+	CPUID
+	ANDL  $0x18000000, CX
+	CMPL  CX, $0x18000000
+	JNE   avx512_no
+	XORL  CX, CX
+	XGETBV
+	ANDL  $0xe6, AX
+	CMPL  AX, $0xe6
+	JNE   avx512_no
+	MOVL  $7, AX
+	XORL  CX, CX
+	CPUID
+	ANDL  $0x10000, BX
+	JZ    avx512_no
+	MOVB  $1, ret+0(FP)
+	RET
+
+avx512_no:
 	MOVB  $0, ret+0(FP)
 	RET

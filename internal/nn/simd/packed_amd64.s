@@ -1,5 +1,6 @@
-// AVX across-output kernels (packed.go). Each YMM lane carries one
-// output row, and the weights arrive in the packed layout, so one
+// AVX across-output kernels (packed.go), PackedSparseF64 with an
+// AVX-512 route as well. Each YMM (or ZMM) lane carries one output
+// row, and the weights arrive in the packed layout, so one
 // column of a unit is a single contiguous vector load per register.
 // Every lane executes the exact scalar operation sequence of the
 // portable kernel for its row — the same products, the same adds, the
@@ -20,6 +21,11 @@
 // with v ≤ z (LE_OQ; z holds zero), which the and-not clears to +0.
 #define RELU_PD(v, z, m) VCMPPD $0x12, z, v, m; VANDNPD v, m, v
 #define RELU_PS(v, z, m) VCMPPS $0x12, z, v, m; VANDNPS v, m, v
+
+// RELU_ZPD is RELU_PD on a ZMM register: the compare sets opmask k
+// on the lanes with v ≤ z, and the merge-masked xor clears exactly
+// those lanes to +0.
+#define RELU_ZPD(v, z, k) VCMPPD $0x12, z, v, k; VPXORQ v, v, k, v
 
 // func PackedNarrowF64(dst, x, w, b []float64, rows, cols int, relu bool)
 //
@@ -354,7 +360,12 @@ w64_done:
 //
 // Per output: bias, then one product per listed column, ascending.
 // A listed column's 16 unit weights are one 128-byte run, so a
-// skipped column costs no memory traffic at all.
+// skipped column costs no memory traffic at all. With AVX-512, each
+// 64-row block (four units) runs in one pass: Z0..Z7 hold its 64
+// outputs, and each listed column's x is broadcast once for all four
+// units. Each lane sees the YMM loop's VMULPD (x first) and VADDPD
+// per listed column; the units left after the last block take the
+// YMM loop.
 TEXT ·PackedSparseF64(SB), NOSPLIT, $0-137
 	MOVQ    dst_base+0(FP), DI
 	MOVQ    x_base+24(FP), SI
@@ -367,6 +378,80 @@ TEXT ·PackedSparseF64(SB), NOSPLIT, $0-137
 	MOVBLZX relu+136(FP), R14
 	SHLQ    $7, R13 // bytes per packed unit: cols × 16 × 8
 
+	TESTQ R8, R8
+	JLE   s64_done
+	CMPB  ·useAVX512(SB), $0
+	JEQ   s64_unit
+	LEAQ  (R13)(R13*2), CX // three units' bytes
+
+s64_block:
+	CMPQ    R8, $64
+	JLT     s64_tail
+	VMOVUPD (BX), Z0
+	VMOVUPD 64(BX), Z1
+	VMOVUPD 128(BX), Z2
+	VMOVUPD 192(BX), Z3
+	VMOVUPD 256(BX), Z4
+	VMOVUPD 320(BX), Z5
+	VMOVUPD 384(BX), Z6
+	VMOVUPD 448(BX), Z7
+	XORQ    R11, R11
+
+s64_bcol:
+	CMPQ         R11, R12
+	JGE          s64_bstore
+	MOVLQSX      (R10)(R11*4), AX
+	VBROADCASTSD (SI)(AX*8), Z8
+	SHLQ         $7, AX
+	ADDQ         DX, AX // column's run in unit 0
+	VMULPD       (AX), Z8, Z9
+	VADDPD       Z9, Z0, Z0
+	VMULPD       64(AX), Z8, Z10
+	VADDPD       Z10, Z1, Z1
+	VMULPD       (AX)(R13*1), Z8, Z11
+	VADDPD       Z11, Z2, Z2
+	VMULPD       64(AX)(R13*1), Z8, Z12
+	VADDPD       Z12, Z3, Z3
+	VMULPD       (AX)(R13*2), Z8, Z9
+	VADDPD       Z9, Z4, Z4
+	VMULPD       64(AX)(R13*2), Z8, Z10
+	VADDPD       Z10, Z5, Z5
+	VMULPD       (AX)(CX*1), Z8, Z11
+	VADDPD       Z11, Z6, Z6
+	VMULPD       64(AX)(CX*1), Z8, Z12
+	VADDPD       Z12, Z7, Z7
+	INCQ         R11
+	JMP          s64_bcol
+
+s64_bstore:
+	TESTL   R14, R14
+	JEQ     s64_bput
+	VPXORQ  Z15, Z15, Z15
+	RELU_ZPD(Z0, Z15, K1)
+	RELU_ZPD(Z1, Z15, K2)
+	RELU_ZPD(Z2, Z15, K3)
+	RELU_ZPD(Z3, Z15, K4)
+	RELU_ZPD(Z4, Z15, K5)
+	RELU_ZPD(Z5, Z15, K6)
+	RELU_ZPD(Z6, Z15, K7)
+	RELU_ZPD(Z7, Z15, K1)
+
+s64_bput:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VMOVUPD Z4, 256(DI)
+	VMOVUPD Z5, 320(DI)
+	VMOVUPD Z6, 384(DI)
+	VMOVUPD Z7, 448(DI)
+	ADDQ    $512, DI
+	ADDQ    $512, BX
+	LEAQ    (DX)(R13*4), DX
+	SUBQ    $64, R8
+	JMP     s64_block
+
+s64_tail:
 	TESTQ R8, R8
 	JLE   s64_done
 

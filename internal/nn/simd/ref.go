@@ -36,8 +36,18 @@
 //
 // The 16-column round-robin was chosen so two 8-wide AVX accumulators
 // ([V0|V1] and [V2|V3]) perform the exact per-lane multiply/add
-// sequence of the four SSE quads: the AVX and SSE loops are
-// bit-identical, so the CPU gate selects speed, never values.
+// sequence of the four SSE quads, and so does one 16-wide AVX-512
+// accumulator ([V0|V1|V2|V3]), whose combine is one 256-bit fold
+// ahead of the AVX loop's. The AVX-512 loop runs four rows per pass
+// with x loaded once for all four; rows past the last block of four
+// take the AVX (or SSE) loop. All three loops are bit-identical, so
+// the CPU gates select speed, never values.
+//
+// PackedSparseF64 has an AVX-512 route too: four 16-row units per
+// pass, eight ZMM accumulators, each listed column's x broadcast once.
+// Its lanes run the YMM route's operation sequence, and units past
+// the last 64-row block take the YMM route. The other Packed kernels
+// are YMM only.
 //
 // The pair order (MatVecBias2F32Ref, implemented by PackedNarrow2F32)
 // runs each window through exactly the narrow order, so lane

@@ -1,13 +1,14 @@
 package simd
 
 // SSE/AVX implementations (kernels_amd64.s, packed_amd64.s,
-// max_amd64.s). Each
-// follows the summation order defined by its scalar reference
-// exactly, so asm and reference are bit-identical. SSE2 is part of
-// the amd64 baseline, so MatVecBiasF32 needs no feature detection;
-// the Packed kernels and the Max folds are AVX-only and must be gated
-// on HasAVX. All
-// are NOSPLIT leaves that allocate nothing.
+// max_amd64.s). Each follows the summation order defined by its
+// scalar reference exactly, so asm and reference are bit-identical.
+// SSE2 is part of the amd64 baseline, so MatVecBiasF32 needs no
+// feature detection; the Packed kernels and the Max folds are
+// AVX-only and must be gated on HasAVX. The two head kernels,
+// MatVecBiasF32's wide loop and PackedSparseF64, also carry an
+// AVX-512 route that their entry picks on useAVX512. All are NOSPLIT
+// leaves that allocate nothing.
 
 // MatVecBiasF32 computes dst[o] = b[o] + Σ_i w[o·cols+i]·x[i] in the
 // package-documented f32 order.
@@ -73,6 +74,15 @@ func cpuHasAVX() bool
 // VMULPS/VADDPS only: FMA would skip the product rounding the
 // reference pins.
 var useAVX = cpuHasAVX()
+
+func cpuHasAVX512() bool
+
+// useAVX512 selects the ZMM routes of the two head kernels: four rows
+// per pass in MatVecBiasF32's wide loop, four 16-row units per pass
+// in PackedSparseF64. Each lane runs the same VMULPx/VADDPx sequence
+// as on the YMM and SSE routes, so this gate, too, selects speed,
+// never values.
+var useAVX512 = cpuHasAVX512()
 
 // HasAVX reports whether the CPU and OS support AVX, which the Packed
 // kernels require.
