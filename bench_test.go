@@ -17,6 +17,7 @@ package repro
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"math/rand"
 	"sync"
@@ -643,6 +644,55 @@ func benchServePush(b *testing.B, snapshotEvery int) {
 func Benchmark_Serve_SessionPush(b *testing.B) { benchServePush(b, 0) }
 
 func Benchmark_Serve_SessionPushSnapshot(b *testing.B) { benchServePush(b, 256) }
+
+// stubPipe is a serve.Pipeline that does no work: it counts samples,
+// decides on every 20th (the stride of a 400 ms window at 50 %
+// overlap) and snapshots one byte, so the runtime's outbox and
+// snapshot traffic match a served cascade's.
+type stubPipe int
+
+func (p *stubPipe) Push(acc, gyro imu.Vec3) cascade.Decision {
+	*p++
+	return cascade.Decision{Evaluated: *p%20 == 0}
+}
+
+func (p *stubPipe) PushMissing(n int) cascade.Decision {
+	*p += stubPipe(n)
+	return cascade.Decision{Evaluated: *p%20 == 0}
+}
+
+func (p *stubPipe) AppendSnapshot(dst []byte) ([]byte, error) { return append(dst, byte(*p)), nil }
+
+func (p *stubPipe) RestoreFresh(r io.Reader) error {
+	_, err := io.Copy(io.Discard, r)
+	return err
+}
+
+func (p *stubPipe) Reset()                        { *p = 0 }
+func (p *stubPipe) SetTierCeiling(t cascade.Tier) {}
+
+// Benchmark_Serve_SessionPushStub is the serving runtime alone at the
+// paper's cadence: per op, one sample is pushed into a session around
+// a no-op pipeline, quiesced (the caller drains the ring itself) and
+// its decisions drained, with servebench's session configuration. It
+// is the hand-off every served sample pays on top of the cascade, the
+// Go-bench twin of servebench's serve_hop_us. Steady state must stay
+// at 0 allocs/op and 0 B/op.
+func Benchmark_Serve_SessionPushStub(b *testing.B) {
+	rt := serve.New(serve.Config{QueueLen: 64, OutboxLen: 64, SnapshotEvery: 256})
+	s := rt.Open(new(stubPipe))
+	got := make([]cascade.Decision, 0, 64)
+	acc, gyro := imu.Vec3{Z: 1}, imu.Vec3{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Push(acc, gyro)
+		s.Quiesce()
+		got = s.DrainDecisions(got[:0])
+	}
+	b.StopTimer()
+	rt.Close()
+}
 
 // benchServePushCNN measures one sample through the served path into
 // the real three-tier CNN cascade (CNN primary, accel-only CNN

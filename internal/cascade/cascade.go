@@ -35,8 +35,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// Tier identifies one cascade level; lower is more capable.
-type Tier int
+// Tier identifies one cascade level; lower is more capable. It is a
+// byte so a Decision packs into 24 bytes: the serving runtime copies
+// one into its outbox per evaluated sample.
+type Tier uint8
 
 const (
 	// TierPrimary is the full three-branch CNN.
@@ -202,9 +204,6 @@ func (c *CascadeOf[S]) SupervisorTier() Tier { return c.sup.tier }
 // decisions use max(supervisor tier, ceiling). Out-of-range values are
 // clamped. SetTierCeiling(TierPrimary) removes the cap.
 func (c *CascadeOf[S]) SetTierCeiling(t Tier) {
-	if t < TierPrimary {
-		t = TierPrimary
-	}
 	if t > TierThreshold {
 		t = TierThreshold
 	}
@@ -228,7 +227,7 @@ func (c *CascadeOf[S]) BudgetCycles() float64 { return c.budget }
 // PerSampleCycles is the modeled worst-case per-sample cost (fusion +
 // inference) of running the given tier.
 func (c *CascadeOf[S]) PerSampleCycles(t Tier) float64 {
-	if t < 0 || t >= NumTiers {
+	if t >= NumTiers {
 		return 0
 	}
 	return c.perSample[t]

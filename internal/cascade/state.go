@@ -92,11 +92,15 @@ func (c *CascadeOf[S]) Restore(rd io.Reader) error {
 		return fmt.Errorf("cascade: snapshot state version %d, this build reads %d", v, cascadeStateVersion)
 	}
 	thr := r.Float()
-	minTier := Tier(r.Int())
+	minWord := r.Int()
 	hold := r.Int()
 	hasFallback := r.Bool()
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("cascade: %w", err)
+	}
+	minTier, err := tierWord(minWord, "min tier")
+	if err != nil {
+		return err
 	}
 	if math.Float64bits(thr) != math.Float64bits(c.threshold) ||
 		minTier != c.sup.minTier || hold != c.sup.promoteHold ||
@@ -112,19 +116,24 @@ func (c *CascadeOf[S]) Restore(rd io.Reader) error {
 	for i := range c.tierEvals {
 		c.tierEvals[i] = r.Int()
 	}
-	tier := Tier(r.Int())
+	tierW := r.Int()
 	c.sup.healthyRun = r.Int()
-	ceiling := Tier(r.Int())
+	ceilW := r.Int()
 	c.t2.run = r.Int()
 	c.t2.vel = r.Float()
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("cascade: %w", err)
 	}
-	if tier < minTier || tier > TierThreshold {
+	tier, err := tierWord(tierW, "supervisor tier")
+	if err != nil {
+		return err
+	}
+	if tier < minTier {
 		return fmt.Errorf("cascade: snapshot supervisor tier %v outside [%v, %v]", tier, minTier, TierThreshold)
 	}
-	if ceiling < TierPrimary || ceiling > TierThreshold {
-		return fmt.Errorf("cascade: snapshot tier ceiling %d out of range", int(ceiling))
+	ceiling, err := tierWord(ceilW, "tier ceiling")
+	if err != nil {
+		return err
 	}
 	c.sup.tier = tier
 	c.ceiling = ceiling
@@ -149,4 +158,13 @@ func (c *CascadeOf[S]) RestoreFresh(rd io.Reader) error {
 		return err
 	}
 	return nil
+}
+
+// tierWord narrows a decoded tier word to a Tier. The range check runs
+// on the int: narrowed first, a word of 256 would read as TierPrimary.
+func tierWord(v int, what string) (Tier, error) {
+	if v < int(TierPrimary) || v > int(TierThreshold) {
+		return 0, fmt.Errorf("cascade: snapshot %s %d out of range", what, v)
+	}
+	return Tier(v), nil
 }

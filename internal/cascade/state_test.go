@@ -2,10 +2,13 @@ package cascade
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/imu"
+	"repro/internal/tensor"
 )
 
 // pushAt replays one deterministic mixed-stress sample into c: mostly
@@ -220,6 +223,57 @@ func TestRestoreRejectsMismatchAndCorruption(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		acc, gyro := quiet(i)
 		fresh.Push(acc, gyro)
+	}
+}
+
+// TestRestoreRejectsTierWordsOutOfRange rewrites each tier word of a
+// real snapshot payload (min tier, supervisor tier, ceiling) and
+// re-seals it in a valid envelope, so only the decoder's range check
+// stands between the word and the cascade. A word of 256 or 257 must
+// not narrow to a valid Tier, and -1 must not wrap.
+func TestRestoreRejectsTierWordsOutOfRange(t *testing.T) {
+	c := newTestCascade(t, testCfg)
+	c.SetTierCeiling(TierFallback)
+	for i := 0; i < 200; i++ {
+		pushAt(c, i)
+	}
+	payload := c.appendStatePayload(nil)
+	seal := func(p []byte) []byte {
+		img, err := artifact.AppendEnvelope(nil, StateKind, []int{c.det.Window, c.det.Step},
+			tensor.F64, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	if err := newTestCascade(t, testCfg).Restore(bytes.NewReader(seal(payload))); err != nil {
+		t.Fatalf("re-sealed payload rejected: %v", err)
+	}
+	// Offsets in appendStatePayload: four words (version, threshold,
+	// min tier, hold) and the one-byte fallback flag, then samples,
+	// sinceEval and one counter per tier ahead of the supervisor tier,
+	// healthy run and ceiling.
+	sup := 4*8 + 1 + (2+int(NumTiers))*8
+	words := []struct {
+		name string
+		off  int
+		want Tier
+	}{
+		{"min tier", 2 * 8, c.sup.minTier},
+		{"supervisor tier", sup, c.sup.tier},
+		{"tier ceiling", sup + 2*8, TierFallback},
+	}
+	for _, w := range words {
+		if got := binary.LittleEndian.Uint64(payload[w.off:]); got != uint64(w.want) {
+			t.Fatalf("%s word at offset %d reads %d, want %d", w.name, w.off, got, w.want)
+		}
+		for _, v := range []int64{256, 257, -1} {
+			bad := append([]byte(nil), payload...)
+			binary.LittleEndian.PutUint64(bad[w.off:], uint64(v))
+			if err := newTestCascade(t, testCfg).Restore(bytes.NewReader(seal(bad))); err == nil {
+				t.Errorf("restore accepted %s word %d", w.name, v)
+			}
+		}
 	}
 }
 

@@ -17,7 +17,10 @@ import (
 // cartridge off garbage is worse than missing a window, and the
 // health state is surfaced so the wearer can be alerted to a dead
 // sensor instead of trusting it silently.
-type Health int
+//
+// It is a byte so a Result, and the cascade's Decision with its three
+// group states, stay small enough to copy per sample.
+type Health uint8
 
 const (
 	// HealthHealthy: no anomalies in the last window of samples.

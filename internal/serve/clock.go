@@ -28,14 +28,3 @@ func (c *VirtualClock) Advance(d time.Duration) {
 		c.nanos.Add(int64(d))
 	}
 }
-
-// monotonicNow returns the runtime's default clock,
-// base.Add(time.Since(base)), which costs one monotonic clock read
-// where time.Now reads both the wall and the monotonic clock. The runtime only subtracts
-// and compares its instants (deadlines, latencies), which use the
-// monotonic reading; the wall reading is base's plus the elapsed
-// monotonic time, so it ignores wall-clock steps after base.
-func monotonicNow() func() time.Time {
-	base := time.Now()
-	return func() time.Time { return base.Add(time.Since(base)) }
-}

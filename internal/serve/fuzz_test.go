@@ -275,7 +275,9 @@ func runServeProgram(t *testing.T, data []byte) {
 			quiesce()
 			// Quiesced, so the last drain's writes to snapImg happen
 			// before this one, and this one before the next drain's.
-			if m.accepting() && len(s.snapImg) > 0 {
+			// Only an intact image is flipped: a second flip of the
+			// same byte would restore it behind the model's back.
+			if m.accepting() && len(s.snapImg) > 0 && !m.snapCorrupt {
 				s.snapImg[int(arg)*len(s.snapImg)/256] ^= 0xa5
 				m.snapCorrupt = true
 			}

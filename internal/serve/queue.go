@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"time"
-
 	"repro/internal/cascade"
 	"repro/internal/imu"
 )
@@ -22,9 +20,10 @@ type entry struct {
 	// as a sensor dropout of the same length.
 	//fallvet:derived replay-log entry held in memory between snapshots and replayed live; never serialised
 	shedBefore int
-	// deadline is when this entry's decision is due.
+	// deadline is when this entry's decision is due, in nanoseconds
+	// on the session clock (Session.now).
 	//fallvet:derived replay-log entry held in memory between snapshots and replayed live; never serialised
-	deadline time.Time
+	deadline int64
 	// ceiling is the tier ceiling the entry ran at, set when it is
 	// logged for replay: the breaker can move it between a snapshot
 	// and a crash.
@@ -34,11 +33,11 @@ type entry struct {
 
 // raw is the number of raw stream samples this entry advances the
 // pipeline by, shed debt included.
-func (e entry) raw() int { return e.shedBefore + e.own() }
+func (e *entry) raw() int { return e.shedBefore + e.own() }
 
 // own is the entry's own raw samples: raw without the shed debt, which
 // ring.push counted as shed when it shed those samples.
-func (e entry) own() int {
+func (e *entry) own() int {
 	if e.missing > 0 {
 		return e.missing
 	}
@@ -57,19 +56,19 @@ func newRing(capacity int) ring {
 	return ring{buf: make([]entry, capacity)}
 }
 
-// push appends e, shedding the oldest entry if the ring is full.
+// push appends *e, shedding the oldest entry if the ring is full.
 // The shed entry's raw samples fold into the next-oldest entry's
 // shedBefore (or into e itself when the ring holds a single slot), so
 // no stream position is ever silently lost — shed data degrades to
 // missing data, never to skewed alignment. Returns the number of raw
 // samples newly shed (0 when the ring had room); debt the shed entry
 // was already carrying is folded forward but not counted again.
-func (r *ring) push(e entry) int {
+func (r *ring) push(e *entry) int {
 	shed := 0
 	if r.n == len(r.buf) {
-		old := r.buf[r.head]
+		old := &r.buf[r.head]
 		shed = old.own()
-		r.head = (r.head + 1) % len(r.buf)
+		r.head = r.next(r.head)
 		r.n--
 		if r.n > 0 {
 			r.buf[r.head].shedBefore += old.raw()
@@ -77,17 +76,29 @@ func (r *ring) push(e entry) int {
 			e.shedBefore += old.raw()
 		}
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = e
+	i := r.head + r.n
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	r.buf[i] = *e
 	r.n++
 	return shed
 }
 
-// pop removes and returns the oldest entry; the caller must check
-// r.n > 0 first.
-func (r *ring) pop() entry {
-	e := r.buf[r.head]
-	r.buf[r.head] = entry{}
-	r.head = (r.head + 1) % len(r.buf)
+// pop moves the oldest entry into dst; the caller must check r.n > 0
+// first. The vacated slot keeps its stale bytes: entries hold no
+// pointers, and push overwrites a slot whole before it is read again.
+func (r *ring) pop(dst *entry) {
+	*dst = r.buf[r.head]
+	r.head = r.next(r.head)
 	r.n--
-	return e
+}
+
+// next is the slot after i, wrapping with a compare rather than a
+// division.
+func (r *ring) next(i int) int {
+	if i++; i == len(r.buf) {
+		return 0
+	}
+	return i
 }

@@ -13,6 +13,10 @@
 //     same one that handles radio dropouts) absorbs load shedding and
 //     the decision cadence never stalls. Every accepted sample carries
 //     a decision deadline; decisions produced after it are counted.
+//     Deadlines and latencies are int64 nanoseconds on the session
+//     clock: the runtime's own monotonic clock when Config.Now is nil,
+//     read once before each applied sample and once more only when the
+//     sample produces a decision.
 //
 //   - Crash isolation. Samples are applied under a recover barrier,
 //     by the session's worker or by a Quiesce caller that drains the
@@ -118,9 +122,13 @@ type Config struct {
 	// below breakerClear×Deadline for BreakerWindow consecutive
 	// decisions lowers it one level). Default 0.8.
 	BreakerTrip float64 //fallvet:derived immutable runtime configuration, fixed by New; never part of a session snapshot
-	// Now is the clock. Default: the monotonic clock, anchored at the
-	// wall time New ran (monotonicNow); tests and the deterministic
-	// soak harness inject a VirtualClock.
+	// Now is the clock. nil, the default, means the runtime's own
+	// clock: one monotonic read per reading, with no wall-clock or
+	// time.Time arithmetic. Tests and the deterministic soak harness
+	// inject a VirtualClock. A session reads an injected clock as
+	// Now().Sub(epoch), nanoseconds since its reading when the session
+	// opened, so deadlines and latencies compare exactly as the
+	// time.Time values would.
 	Now func() time.Time
 	// Log, when non-nil, receives one line per restart, shed and
 	// breaker transition.
@@ -160,9 +168,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.BreakerTrip <= 0 {
 		cfg.BreakerTrip = 0.8
-	}
-	if cfg.Now == nil {
-		cfg.Now = monotonicNow()
 	}
 	return cfg
 }

@@ -30,6 +30,11 @@ type Session struct {
 
 	cfg Config
 	p   Pipeline
+	// epoch is the session clock's zero: now() reads nanoseconds
+	// since it, on cfg.Now when set and on the monotonic clock when
+	// nil.
+	//fallvet:derived clock origin fixed at Open; instants are host-local and never serialised
+	epoch time.Time
 
 	mu sync.Mutex
 	// wake signals the worker: work queued while unclaimed, or
@@ -59,6 +64,13 @@ type Session struct {
 	snapPos   uint64 // pos at which snapImg was captured
 	replayLog []entry
 	sinceSnap int
+	// cur is the entry being applied and res what it produced: the
+	// drain moves each popped entry here once, and the apply, restart
+	// and commit steps work on them in place.
+	//fallvet:derived entry in flight on the claim holder; a crash re-applies it from here after the replay
+	cur entry
+	//fallvet:derived decisions of the entry in flight; rewritten by every apply, delivered by commit
+	res appliedOut
 	//fallvet:derived host-local latency history, rebuilt from live decision timings after a restore
 	brk breaker
 
@@ -76,7 +88,7 @@ type Session struct {
 	exit chan struct{} // closed when the worker returns
 }
 
-// appliedOut is what one dequeued entry produced: the decision for
+// appliedOut is what the entry in flight produced: the decision for
 // the shed debt in front of it (if any), then the entry's own.
 type appliedOut struct {
 	shed    cascade.Decision
@@ -94,6 +106,11 @@ func newSession(id int, p Pipeline, cfg Config) *Session {
 		brk:  newBreaker(cfg.BreakerWindow),
 		exit: make(chan struct{}),
 	}
+	if cfg.Now == nil {
+		s.epoch = time.Now()
+	} else {
+		s.epoch = cfg.Now()
+	}
 	s.wake = sync.NewCond(&s.mu)
 	s.idle = sync.NewCond(&s.mu)
 	if cfg.SnapshotEvery > 0 {
@@ -109,7 +126,8 @@ func newSession(id int, p Pipeline, cfg Config) *Session {
 // It returns false — and counts the sample as shed — once the session
 // is closed or shed.
 func (s *Session) Push(acc, gyro imu.Vec3) bool {
-	return s.enqueue(entry{acc: acc, gyro: gyro}, 1)
+	e := entry{acc: acc, gyro: gyro}
+	return s.enqueue(&e, 1)
 }
 
 // PushMissing enqueues a run of n samples the stream failed to
@@ -118,17 +136,18 @@ func (s *Session) PushMissing(n int) bool {
 	if n <= 0 {
 		return true
 	}
-	return s.enqueue(entry{missing: n}, n)
+	e := entry{missing: n}
+	return s.enqueue(&e, n)
 }
 
-func (s *Session) enqueue(e entry, raw int) bool {
+func (s *Session) enqueue(e *entry, raw int) bool {
 	s.mu.Lock()
 	if s.closing || s.done {
 		s.mu.Unlock()
 		s.shedN.Add(int64(raw))
 		return false
 	}
-	e.deadline = s.cfg.Now().Add(s.cfg.Deadline)
+	e.deadline = s.now() + int64(s.cfg.Deadline)
 	shed := s.q.push(e)
 	s.enqueued.Add(int64(raw))
 	if shed > 0 {
@@ -169,15 +188,21 @@ func (s *Session) run() {
 // crash barrier until the ring is empty, then releases the claim. It
 // runs on the worker or on a Quiesce caller; the caller holds mu and
 // has seen queued work and no claim. mu is released around each entry
-// and held again on return. Inside one drain, one clock read serves
-// as an entry's commit time and the next entry's start.
+// and held again on return. Each entry is timed from one clock read
+// before it is applied, unless the previous entry's commit read the
+// clock, which then serves as this entry's start.
 func (s *Session) drain() {
 	s.busy = true
-	start := s.cfg.Now()
+	var start int64
+	timed := false // start holds the previous commit's reading
 	for s.q.n > 0 {
-		e := s.q.pop()
+		s.q.pop(&s.cur)
 		s.mu.Unlock()
-		now, ok := s.applyEntry(e, start)
+		if !timed {
+			start = s.now()
+		}
+		var ok bool
+		start, timed, ok = s.applyEntry(&s.cur, start)
 		s.mu.Lock()
 		if !ok {
 			// Restarts exhausted: shed the session, dropping the
@@ -186,14 +211,14 @@ func (s *Session) drain() {
 			s.setState(StateShed)
 			s.closing = true
 			s.done = true
-			dropped := e.own()
+			dropped := s.cur.own()
 			for s.q.n > 0 {
-				dropped += s.q.pop().own()
+				s.q.pop(&s.cur)
+				dropped += s.cur.own()
 			}
 			s.shedN.Add(int64(dropped))
 			break
 		}
-		start = now
 	}
 	s.busy = false
 	s.idle.Broadcast()
@@ -202,36 +227,37 @@ func (s *Session) drain() {
 	}
 }
 
-// applyEntry applies one entry with panic isolation, timing it from
-// start. On panic it runs the restart protocol; false means the
-// session must be shed. It returns the commit time.
-func (s *Session) applyEntry(e entry, start time.Time) (time.Time, bool) {
-	out, err := s.applyOnce(e, s.pos.Load())
+// applyEntry applies e, the entry in flight, with panic isolation,
+// timing it from start. On panic it runs the restart protocol; ok false means
+// the session must be shed. When the entry decided, the commit read
+// the clock: it returns that reading as now, with timed true.
+func (s *Session) applyEntry(e *entry, start int64) (now int64, timed, ok bool) {
+	err := s.applyOnce(e, s.pos.Load())
 	restarted := false
 	if err != nil {
 		s.panics.Add(1)
 		s.setState(StateFaulted)
 		s.logf("session %d: pipeline panic at sample %d: %v", s.ID, s.pos.Load(), err)
-		out, err = s.restartWithBackoff(e)
-		if err != nil {
+		if err = s.restartWithBackoff(e); err != nil {
 			s.logf("session %d: shedding after %d failed restarts: %v",
 				s.ID, s.cfg.MaxRestarts, err)
-			return time.Time{}, false
+			return 0, false, false
 		}
 		restarted = true
 	}
-	now := s.commit(e, out, start)
+	now, timed = s.commit(e, start)
 	if restarted && s.cfg.SnapshotEvery > 0 {
 		// Re-anchor immediately so the fault window is never replayed
 		// twice and the next crash restores past it.
 		s.takeSnapshot()
 	}
-	return now, true
+	return now, timed, true
 }
 
-// applyOnce drives the pipeline for one entry under a recover
-// barrier; a panic comes back as a *guard.PanicError with the stack.
-func (s *Session) applyOnce(e entry, pos uint64) (out appliedOut, err error) {
+// applyOnce drives the pipeline for one entry under a recover barrier,
+// leaving its decisions in s.res; a panic comes back as a
+// *guard.PanicError with the stack.
+func (s *Session) applyOnce(e *entry, pos uint64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &guard.PanicError{Value: r, Stack: debug.Stack()}
@@ -240,16 +266,17 @@ func (s *Session) applyOnce(e entry, pos uint64) (out appliedOut, err error) {
 	if h := s.cfg.PushHook; h != nil {
 		h(s.ID, pos)
 	}
-	if e.shedBefore > 0 {
+	out := &s.res
+	out.hasShed = e.shedBefore > 0
+	if out.hasShed {
 		out.shed = s.p.PushMissing(e.shedBefore)
-		out.hasShed = true
 	}
 	if e.missing > 0 {
 		out.main = s.p.PushMissing(e.missing)
 	} else {
 		out.main = s.p.Push(e.acc, e.gyro)
 	}
-	return out, nil
+	return nil
 }
 
 // restartMaxDelay caps the exponential backoff between restart
@@ -261,21 +288,17 @@ const restartMaxDelay = 50 * time.Millisecond
 // each attempt restoring the last snapshot and replaying the log.
 // Replay panics (a fault that reproduces deterministically) consume
 // attempts and eventually surface as a *guard.ExhaustedError.
-func (s *Session) restartWithBackoff(e entry) (appliedOut, error) {
-	var out appliedOut
+func (s *Session) restartWithBackoff(e *entry) error {
 	gcfg := guard.Config{
 		Attempts:  s.cfg.MaxRestarts,
 		BaseDelay: s.cfg.RestartBackoff,
 		MaxDelay:  restartMaxDelay,
 		Log:       s.cfg.Log,
 	}
-	err := guard.Run(gcfg, fmt.Sprintf("session-%d-restart", s.ID), func() error {
+	return guard.Run(gcfg, fmt.Sprintf("session-%d-restart", s.ID), func() error {
 		s.restarts.Add(1)
-		var rerr error
-		out, rerr = s.restoreReplay(e)
-		return rerr
+		return s.restoreReplay(e)
 	})
-	return out, err
 }
 
 // restoreReplay rebuilds the pipeline to the exact state it had
@@ -286,10 +309,10 @@ func (s *Session) restartWithBackoff(e entry) (appliedOut, error) {
 // entry for real at the breaker's current ceiling. The replay fires
 // PushHook at the historical positions, so a deterministic fault
 // re-fires and consumes restart attempts instead of looping forever.
-func (s *Session) restoreReplay(cur entry) (appliedOut, error) {
+func (s *Session) restoreReplay(cur *entry) error {
 	if s.snapImg != nil {
 		if err := s.p.RestoreFresh(bytes.NewReader(s.snapImg)); err != nil {
-			return appliedOut{}, fmt.Errorf("session %d: snapshot restore: %w", s.ID, err)
+			return fmt.Errorf("session %d: snapshot restore: %w", s.ID, err)
 		}
 	} else {
 		// No snapshot yet: the replay log (when snapshots are
@@ -300,7 +323,7 @@ func (s *Session) restoreReplay(cur entry) (appliedOut, error) {
 	}
 	pos := s.snapPos
 	for i := range s.replayLog {
-		le := s.replayLog[i]
+		le := &s.replayLog[i]
 		if h := s.cfg.PushHook; h != nil {
 			h(s.ID, pos)
 		}
@@ -319,29 +342,34 @@ func (s *Session) restoreReplay(cur entry) (appliedOut, error) {
 	return s.applyOnce(cur, s.pos.Load())
 }
 
-// commit publishes the outcome of a fully-applied entry: advance the
-// stream position, log for replay, emit decisions, account the
-// deadline, feed the breaker, refresh health, snapshot at cadence. It
-// returns the clock reading it committed at.
-func (s *Session) commit(e entry, out appliedOut, start time.Time) time.Time {
+// commit publishes the outcome of the fully-applied entry e, left in
+// s.res: advance the stream position, log for replay, emit decisions,
+// account the deadline, feed the breaker, refresh health, snapshot at
+// cadence. It reads the clock only when the entry decided, since the
+// deadline check and the breaker are the only readers, and reports
+// that reading with timed true.
+func (s *Session) commit(e *entry, start int64) (now int64, timed bool) {
+	out := &s.res
 	raw := e.raw()
 	s.pos.Add(uint64(raw))
 	if s.cfg.SnapshotEvery > 0 {
 		e.ceiling = breakerCeiling(s.brk.level)
-		s.replayLog = append(s.replayLog, e)
+		s.replayLog = append(s.replayLog, *e)
 		s.sinceSnap += raw
 	}
-	now := s.cfg.Now()
-	evaluated := out.main.Evaluated || (out.hasShed && out.shed.Evaluated)
-	if out.hasShed {
-		s.emit(out.shed)
+	timed = out.main.Evaluated || (out.hasShed && out.shed.Evaluated)
+	if timed {
+		now = s.now()
 	}
-	s.emit(out.main)
-	if evaluated {
-		if now.After(e.deadline) {
+	if out.hasShed {
+		s.emit(&out.shed)
+	}
+	s.emit(&out.main)
+	if timed {
+		if now > e.deadline {
 			s.deadlineMissed.Add(1)
 		}
-		lvl, changed := s.brk.observe(now.Sub(start), s.cfg.Deadline, s.cfg.BreakerTrip)
+		lvl, changed := s.brk.observe(time.Duration(now-start), s.cfg.Deadline, s.cfg.BreakerTrip)
 		if changed {
 			s.level.Store(int32(lvl))
 			s.p.SetTierCeiling(breakerCeiling(lvl))
@@ -357,13 +385,13 @@ func (s *Session) commit(e entry, out appliedOut, start time.Time) time.Time {
 	if s.cfg.SnapshotEvery > 0 && s.sinceSnap >= s.cfg.SnapshotEvery {
 		s.takeSnapshot()
 	}
-	return now
+	return now, timed
 }
 
 // emit appends an evaluated decision to the outbox (aging out the
 // oldest when full) and latches the first trigger, which is never
 // dropped: an airbag fire command must survive a slow consumer.
-func (s *Session) emit(d cascade.Decision) {
+func (s *Session) emit(d *cascade.Decision) {
 	if !d.Evaluated {
 		return
 	}
@@ -373,14 +401,14 @@ func (s *Session) emit(d cascade.Decision) {
 	}
 	s.outMu.Lock()
 	if d.Triggered && !s.trigSet {
-		s.trig, s.trigSet = d, true
+		s.trig, s.trigSet = *d, true
 	}
 	if len(s.out) == cap(s.out) {
 		copy(s.out, s.out[1:])
 		s.out = s.out[:len(s.out)-1]
 		s.outboxDropped.Add(1)
 	}
-	s.out = append(s.out, d)
+	s.out = append(s.out, *d)
 	s.outMu.Unlock()
 }
 
@@ -403,12 +431,23 @@ func (s *Session) takeSnapshot() {
 	s.snapshots.Add(1)
 }
 
-// setState updates the published state; StateShed is terminal.
+// setState updates the published state; StateShed is terminal. It
+// stores only on a change, so a steady session does not write the
+// shared word every sample.
 func (s *Session) setState(st State) {
-	if State(s.state.Load()) == StateShed {
+	if cur := State(s.state.Load()); cur == st || cur == StateShed {
 		return
 	}
 	s.state.Store(int32(st))
+}
+
+// now reads the session clock: nanoseconds since epoch, from one
+// monotonic read when Config.Now is nil, else from Config.Now.
+func (s *Session) now() int64 {
+	if s.cfg.Now == nil {
+		return int64(time.Since(s.epoch))
+	}
+	return int64(s.cfg.Now().Sub(s.epoch))
 }
 
 func (s *Session) logf(format string, args ...any) {

@@ -124,6 +124,9 @@ BEGIN {
     # widths.
     zero["Benchmark_Serve_SessionPushCNN"] = 1
     zero["Benchmark_Serve_SessionPushCNN_F32"] = 1
+    # The runtime alone at that cadence: push, quiesce and outbox drain
+    # around a no-op pipeline.
+    zero["Benchmark_Serve_SessionPushStub"] = 1
     # Sixteen detectors of one model pushed round-robin: the shared
     # weight copy must not cost an allocation either.
     zero["Benchmark_Edge_StreamingPushCNN_Fleet16"] = 1
